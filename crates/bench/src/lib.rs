@@ -18,9 +18,10 @@
 //! | E9 | Section 5 item 1 (chase vs rewrite crossover, ablation) | [`e9_crossover`], [`e9_equivalence_ablation`] |
 //!
 //! Post-paper engineering experiments: E10 (Datalog route), E11 (mapping
-//! discovery), E12 (id-level federation), E13 (sorted-run vs B-tree
-//! triple storage, [`e13_storage`]), E14 (id-level vs string-level
-//! UCQ rewriting, [`e14_rewrite_ablation`]), E15 (frozen-session
+//! discovery), E12 (id-level federation vs centralised evaluation), E13
+//! (sorted-run vs B-tree triple storage, [`e13_storage`]), E14
+//! (id-level vs string-level UCQ rewriting, [`e14_rewrite_ablation`]),
+//! E15 (frozen-session
 //! concurrency, [`e15_frozen_concurrency`]), E16 (fault-tolerant
 //! federation under seeded fault injection, [`e16_fault_tolerance`]),
 //! E17 (durable storage: persist+reopen vs cold re-chase and
@@ -37,14 +38,15 @@
 #![warn(missing_docs)]
 
 use rps_core::{
-    certain_answers, chase_system, saturate_naive, EquivalenceIndex, RpsChaseConfig, RpsRewriter,
+    certain_answers, chase_system, saturate_naive, EngineConfig, EquivalenceIndex, RpsChaseConfig,
+    RpsRewriter,
 };
 use rps_lodgen::{
     actor_shape_query, chain, film_system, paper_example, queries, FilmConfig, Topology,
 };
 use rps_query::{evaluate_query, Semantics};
 use rps_tgd::{Classification, RewriteConfig};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// A rendered experiment: a title, column headers and text rows.
 #[derive(Clone, Debug)]
@@ -87,8 +89,17 @@ impl Table {
     }
 }
 
-fn ms(d: std::time::Duration) -> String {
+fn ms(d: Duration) -> String {
     format!("{:.2}", d.as_secs_f64() * 1e3)
+}
+
+/// A speed-up cell, `num / den`. Below the tables' 0.01 ms print
+/// resolution the denominator is timer noise, so no ratio is printed.
+fn speedup(num: Duration, den: Duration) -> String {
+    if den < Duration::from_micros(10) {
+        return "n/a (<0.01 ms)".into();
+    }
+    format!("{:.2}x", num.as_secs_f64() / den.as_secs_f64())
 }
 
 /// E1 — Example 1: the query over the raw stored data is empty.
@@ -437,12 +448,13 @@ pub fn e8_topology_scaling(peer_counts: &[usize]) -> Table {
             let sol = chase_system(&sys, &RpsChaseConfig::default());
             let chase_ms = t0.elapsed();
             let query = actor_shape_query(peers - 1, false);
-            let mut service =
-                rps_p2p::P2pQueryService::new(&sys).with_rewrite_config(RewriteConfig {
-                    max_depth: 60,
-                    max_cqs: 200_000,
-                });
-            let result = service.answer(&query);
+            let config = EngineConfig::default().with_rewrite(RewriteConfig {
+                max_depth: 60,
+                max_cqs: 200_000,
+            });
+            let mut session = rps_p2p::FederatedSession::new(&sys, config);
+            let prepared = session.prepare(&query).expect("rewriting is exhaustive");
+            let result = session.execute(&prepared).expect("federated execution");
             rows.push(vec![
                 peers.to_string(),
                 label.to_string(),
@@ -577,10 +589,7 @@ pub fn e9_equivalence_ablation(densities: &[usize]) -> Table {
             canon.len().to_string(),
             ms(naive_time),
             ms(uf_time),
-            format!(
-                "{:.1}x",
-                naive_time.as_secs_f64() / uf_time.as_secs_f64().max(1e-9)
-            ),
+            speedup(naive_time, uf_time),
         ]);
     }
     Table {
@@ -621,10 +630,7 @@ pub fn e10_datalog(chain_lengths: &[usize]) -> Table {
             (datalog_ans.tuples == chase_ans.tuples).to_string(),
             ms(chase_time),
             ms(datalog_time),
-            format!(
-                "{:.1}x",
-                chase_time.as_secs_f64() / datalog_time.as_secs_f64().max(1e-9)
-            ),
+            speedup(chase_time, datalog_time),
         ]);
     }
     Table {
@@ -643,15 +649,14 @@ pub fn e10_datalog(chain_lengths: &[usize]) -> Table {
     }
 }
 
-/// E12 — the federation redesign: id-level *prepared* federated
-/// execution (answer dictionary + per-peer id translation + hash joins
-/// on dense ids) vs the retained term-level baseline (per-peer pattern
-/// re-compilation, owned-term bindings, nested-loop mapping joins), per
-/// peer count. The prepared plan is compiled once and executed
-/// repeatedly, so the id column is the steady-state per-query cost.
+/// E12 — id-level *prepared* federated execution (answer dictionary +
+/// per-peer id translation + hash joins on dense ids) vs centralised
+/// [`evaluate_query`] over the union of the peer databases, per peer
+/// count. The prepared plan is compiled once and executed repeatedly,
+/// so the federated column is the steady-state per-query cost; the
+/// centralised column excludes building the union graph.
 pub fn e12_federation(peer_counts: &[usize]) -> Table {
     use rps_p2p::{FederatedEngine, SimNetwork};
-    use rps_query::Semantics;
     const REPS: u32 = 7;
     let mut rows = Vec::new();
     for &peers in peer_counts {
@@ -683,40 +688,36 @@ pub fn e12_federation(peer_counts: &[usize]) -> Table {
         let id_time = t1.elapsed() / REPS;
         let id_decoded = engine.decode(&id_answers);
 
+        let stored = sys.stored_database();
         let t2 = Instant::now();
-        let mut term_answers = std::collections::BTreeSet::new();
+        let mut central = std::collections::BTreeSet::new();
         for _ in 0..REPS {
-            let mut net = SimNetwork::new();
-            let (terms, _) = engine.evaluate_query_term_level(&query, Semantics::Certain, &mut net);
-            term_answers = terms;
+            central = evaluate_query(&stored, &query, Semantics::Certain);
         }
-        let term_time = t2.elapsed() / REPS;
+        let central_time = t2.elapsed() / REPS;
 
         rows.push(vec![
             peers.to_string(),
             sys.stored_size().to_string(),
             id_decoded.len().to_string(),
-            (id_decoded == term_answers).to_string(),
+            (id_decoded == central).to_string(),
             ms(prepare_time),
             ms(id_time),
-            ms(term_time),
-            format!(
-                "{:.1}x",
-                term_time.as_secs_f64() / id_time.as_secs_f64().max(1e-9)
-            ),
+            ms(central_time),
+            speedup(central_time, id_time),
         ]);
     }
     Table {
-        title: "E12 — federation: id-level prepared execution vs term-level baseline".into(),
+        title: "E12 — federation: id-level prepared execution vs centralised evaluation".into(),
         headers: vec![
             "peers".into(),
             "stored".into(),
             "answers".into(),
             "paths agree".into(),
             "prepare ms".into(),
-            "id exec ms".into(),
-            "term exec ms".into(),
-            "speedup".into(),
+            "federated exec ms".into(),
+            "centralised ms".into(),
+            "centralised / federated".into(),
         ],
         rows,
     }
@@ -805,10 +806,7 @@ pub fn e14_rewrite_ablation(depths: &[usize]) -> Table {
             naive_rw.cqs.len().to_string(),
             ms(id_time),
             ms(naive_time),
-            format!(
-                "{:.1}x",
-                naive_time.as_secs_f64() / id_time.as_secs_f64().max(1e-9)
-            ),
+            speedup(naive_time, id_time),
             (id_ans == naive_ans).to_string(),
         ]);
     }
@@ -923,7 +921,7 @@ pub fn e13_storage(sizes: &[usize]) -> Table {
                     .unwrap()
             })
             .collect();
-        let scan = |g: &Graph| -> (std::time::Duration, usize) {
+        let scan = |g: &Graph| -> (Duration, usize) {
             let t = Instant::now();
             let mut total = 0usize;
             for _ in 0..SCAN_REPS {
@@ -951,10 +949,7 @@ pub fn e13_storage(sizes: &[usize]) -> Table {
             ms(batch_insert),
             ms(btree_scan),
             ms(runs_scan),
-            format!(
-                "{:.2}x",
-                btree_combined.as_secs_f64() / runs_combined.as_secs_f64().max(1e-9)
-            ),
+            speedup(btree_combined, runs_combined),
             agree.to_string(),
         ]);
     }
@@ -1061,7 +1056,7 @@ pub fn e15_frozen_concurrency(threads: &[usize], total_execs: usize) -> Table {
             max_depth: 40,
             max_cqs: 100_000,
         });
-    let mut miss_total = std::time::Duration::ZERO;
+    let mut miss_total = Duration::ZERO;
     let mut miss_answers = None;
     for _ in 0..MISS_REPS {
         let f = Session::open(sys.clone(), rw_cfg.clone())
@@ -1084,7 +1079,7 @@ pub fn e15_frozen_concurrency(threads: &[usize], total_execs: usize) -> Table {
     let hit_avg = t0.elapsed() / HIT_REPS;
     let hit_answers = f.execute(&p).unwrap().into_set().tuples;
     let agree = miss_answers.as_ref() == Some(&hit_answers);
-    let per_sec = |d: std::time::Duration| format!("{:.0}", 1.0 / d.as_secs_f64().max(1e-9));
+    let per_sec = |d: Duration| format!("{:.0}", 1.0 / d.as_secs_f64().max(1e-9));
     rows.push(vec![
         "prepare-miss".into(),
         "1".into(),
@@ -1100,10 +1095,7 @@ pub fn e15_frozen_concurrency(threads: &[usize], total_execs: usize) -> Table {
         HIT_REPS.to_string(),
         ms(hit_avg),
         per_sec(hit_avg),
-        format!(
-            "{:.1}x",
-            miss_avg.as_secs_f64() / hit_avg.as_secs_f64().max(1e-9)
-        ),
+        speedup(miss_avg, hit_avg),
         agree.to_string(),
     ]);
 
@@ -1332,15 +1324,12 @@ pub fn e17_durability(sizes: &[usize]) -> Table {
             ms(chase),
             ms(persist),
             ms(reopen),
-            format!(
-                "{:.1}x",
-                chase.as_secs_f64() / (persist + reopen).as_secs_f64().max(1e-9)
-            ),
+            speedup(chase, persist + reopen),
             stats.pages_read.to_string(),
             stats.wal_replayed.to_string(),
             ms(paged),
             ms(mem),
-            format!("{:.1}x", paged.as_secs_f64() / mem.as_secs_f64().max(1e-9)),
+            speedup(paged, mem),
             agree.to_string(),
         ]);
     }
@@ -1437,10 +1426,7 @@ pub fn e18_live_updates(sizes: &[usize]) -> Table {
                 batch_size.to_string(),
                 ms(incr),
                 ms(rechase),
-                format!(
-                    "{:.1}x",
-                    rechase.as_secs_f64() / incr.as_secs_f64().max(1e-9)
-                ),
+                speedup(rechase, incr),
                 agree.to_string(),
                 "-".into(),
                 "-".into(),
@@ -1467,7 +1453,7 @@ pub fn e18_live_updates(sizes: &[usize]) -> Table {
                     })
                 })
                 .collect();
-            let deadline = Instant::now() + std::time::Duration::from_millis(CHURN_WINDOW_MS);
+            let deadline = Instant::now() + Duration::from_millis(CHURN_WINDOW_MS);
             let mut published = 0u64;
             while Instant::now() < deadline {
                 fresh += 1;
@@ -1580,7 +1566,7 @@ pub fn e19_scaleout(triples: usize) -> Table {
     // dominated by scheduler noise at these durations.
     const REPS: usize = 3;
     let best = |f: &mut dyn FnMut() -> std::collections::BTreeSet<Vec<rps_rdf::TermId>>| {
-        let mut wall = std::time::Duration::MAX;
+        let mut wall = Duration::MAX;
         let mut out = None;
         for _ in 0..REPS {
             let t0 = Instant::now();
@@ -1607,10 +1593,7 @@ pub fn e19_scaleout(triples: usize) -> Table {
             format!("{workers}w/{SHARDS}s"),
             baseline.len().to_string(),
             ms(wall),
-            format!(
-                "{:.2}x",
-                seq_wall.as_secs_f64() / wall.as_secs_f64().max(1e-9)
-            ),
+            speedup(seq_wall, wall),
             format!("{morsels} morsels"),
         ]);
     }
@@ -1625,7 +1608,7 @@ pub fn e19_scaleout(triples: usize) -> Table {
         ..SealConfig::default()
     });
     let scan_best = |g: &rps_rdf::Graph| {
-        let mut wall = std::time::Duration::MAX;
+        let mut wall = Duration::MAX;
         let mut count = 0;
         for _ in 0..REPS {
             let t0 = Instant::now();
@@ -1657,10 +1640,7 @@ pub fn e19_scaleout(triples: usize) -> Table {
         "seq".into(),
         comp_count.to_string(),
         ms(comp_scan),
-        format!(
-            "{:.2}x",
-            plain_scan.as_secs_f64() / comp_scan.as_secs_f64().max(1e-9)
-        ),
+        speedup(plain_scan, comp_scan),
         format!("{ratio:.2}"),
     ]);
 
@@ -1767,10 +1747,7 @@ pub fn e20_sparql_optimiser(subjects: usize, iterations: usize) -> Table {
             "-".into(),
             "-".into(),
             ms(prepare_wall),
-            format!(
-                "{:.2}x",
-                parse_wall.as_secs_f64() / prepare_wall.as_secs_f64().max(1e-9)
-            ),
+            speedup(parse_wall, prepare_wall),
             format!(
                 "{:.0} q/s",
                 parsed as f64 / prepare_wall.as_secs_f64().max(1e-9)
@@ -1816,7 +1793,7 @@ pub fn e20_sparql_optimiser(subjects: usize, iterations: usize) -> Table {
 
     const REPS: usize = 5;
     let best = |plan: &PreparedQueryIds| {
-        let mut wall = std::time::Duration::MAX;
+        let mut wall = Duration::MAX;
         let mut out = None;
         for _ in 0..REPS {
             let t0 = Instant::now();
@@ -1846,10 +1823,7 @@ pub fn e20_sparql_optimiser(subjects: usize, iterations: usize) -> Table {
         "cost-based".into(),
         c_rows.len().to_string(),
         ms(c_wall),
-        format!(
-            "{:.2}x",
-            h_wall.as_secs_f64() / c_wall.as_secs_f64().max(1e-9)
-        ),
+        speedup(h_wall, c_wall),
         format!("order {:?}", cost.planned_order()),
     ]);
 
@@ -1946,7 +1920,7 @@ mod tests {
     fn e12_paths_agree() {
         let t = e12_federation(&[2, 4]);
         for row in &t.rows {
-            assert_eq!(row[3], "true", "id and term federation paths agree");
+            assert_eq!(row[3], "true", "federated and centralised paths agree");
         }
     }
 

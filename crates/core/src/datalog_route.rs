@@ -103,12 +103,14 @@ impl DatalogEngine {
 
 /// Crate-internal test fixtures: the transitive-closure chain system
 /// (the Proposition 3 workload) reimplemented locally to avoid a
-/// dev-dependency cycle with `rps-lodgen`. Shared by this module's tests
-/// and the [`crate::session`] tests.
+/// dev-dependency cycle with `rps-lodgen`, and a two-peer system whose
+/// mapping has an existential conclusion. Shared by this module's tests
+/// and the [`crate::session`] and [`crate::live`] tests.
 #[cfg(test)]
 pub(crate) mod tests_support {
     use super::*;
-    use crate::peer::Peer;
+    use crate::peer::{Peer, PeerId};
+    use crate::system::RpsBuilder;
     use rps_query::{GraphPattern, TermOrVar, Variable};
 
     pub(crate) fn transitive_system(len: usize) -> RdfPeerSystem {
@@ -156,6 +158,54 @@ pub(crate) mod tests_support {
                 TermOrVar::var("y"),
             ),
         )
+    }
+
+    /// Two peers: peer B holds `actor` facts, peer A uses
+    /// `starring`/`artist`; one GMA translates B into A's shape with an
+    /// existential witness (`z`) between the two A-triples, so the
+    /// system is not expressible as Datalog.
+    pub(crate) fn existential_system() -> RdfPeerSystem {
+        let v = Variable::new;
+        let mut a = PeerId(0);
+        let mut b = PeerId(0);
+        let premise = GraphPatternQuery::new(
+            vec![v("x"), v("y")],
+            GraphPattern::triple(
+                TermOrVar::var("x"),
+                TermOrVar::iri("http://b/actor"),
+                TermOrVar::var("y"),
+            ),
+        );
+        let conclusion = GraphPatternQuery::new(
+            vec![v("x"), v("y")],
+            GraphPattern::triple(
+                TermOrVar::var("x"),
+                TermOrVar::iri("http://a/starring"),
+                TermOrVar::var("z"),
+            )
+            .and(GraphPattern::triple(
+                TermOrVar::var("z"),
+                TermOrVar::iri("http://a/artist"),
+                TermOrVar::var("y"),
+            )),
+        );
+        RpsBuilder::new()
+            .peer_turtle(
+                "A",
+                "<http://a/film> <http://a/starring> _:c .\n\
+                 _:c <http://a/artist> <http://a/actor1> .",
+                &mut a,
+            )
+            .unwrap()
+            .peer_turtle(
+                "B",
+                "<http://b/film2> <http://b/actor> <http://b/actor2> .",
+                &mut b,
+            )
+            .unwrap()
+            .assertion(b, a, premise, conclusion)
+            .unwrap()
+            .build()
     }
 }
 

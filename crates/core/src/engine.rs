@@ -1,290 +1,29 @@
-//! The legacy engine facade, kept as a thin shim over [`Session`].
-//!
-//! **Deprecated in favour of [`crate::Session`]**: the `Session` /
-//! [`crate::PreparedQuery`] / [`crate::AnswerStream`] API unifies the
-//! configuration plumbing, prepares queries once for repeated execution,
-//! streams answers, and reports failures as typed [`crate::RpsError`]s.
-//! `RpsEngine` remains for callers that depend on its historical
-//! behaviour (in particular: answering over an *incomplete* universal
-//! solution when the chase budget runs out, rather than erroring).
+//! End-to-end checks of [`Strategy`](crate::session::Strategy) route
+//! selection through [`Session`](crate::session::Session) on a linear
+//! system.
 
-pub use crate::session::Strategy;
-
-use crate::answers::{certain_answers, AnswerSet};
-use crate::chase::{RpsChaseConfig, UniversalSolution};
-use crate::equivalence::EquivalenceIndex;
-use crate::session::{EngineConfig, Session};
-use crate::system::RdfPeerSystem;
-use rps_query::GraphPatternQuery;
-use rps_tgd::RewriteConfig;
-
-/// How a query was actually answered.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum AnswerRoute {
-    /// Evaluated over a materialised universal solution.
-    Materialised,
-    /// Evaluated through a (complete) UCQ rewriting.
-    Rewritten,
-    /// Evaluated over a semi-naive Datalog least model.
-    Datalog,
-}
-
-/// The legacy engine: owns a [`Session`] and reproduces the historical
-/// `answer` contract. Prefer [`Session`] in new code.
-pub struct RpsEngine {
-    session: Session,
-}
-
-impl RpsEngine {
-    /// Creates an engine with the default (Auto) strategy.
-    pub fn new(system: RdfPeerSystem) -> Self {
-        RpsEngine {
-            session: Session::new(system, EngineConfig::default()),
-        }
-    }
-
-    /// Sets the strategy.
-    pub fn with_strategy(mut self, strategy: Strategy) -> Self {
-        self.session.config_mut().strategy = strategy;
-        self
-    }
-
-    /// Overrides the chase budgets.
-    pub fn with_chase_config(mut self, config: RpsChaseConfig) -> Self {
-        self.session.config_mut().chase = config;
-        self
-    }
-
-    /// Overrides the rewriting budgets.
-    pub fn with_rewrite_config(mut self, config: RewriteConfig) -> Self {
-        self.session.config_mut().rewrite = config;
-        self
-    }
-
-    /// The underlying system.
-    pub fn system(&self) -> &RdfPeerSystem {
-        self.session.system()
-    }
-
-    /// The union-find index over the system's equivalence mappings.
-    pub fn equivalence_index(&self) -> &EquivalenceIndex {
-        self.session.equivalence_index()
-    }
-
-    /// The materialised universal solution, chasing on first use. Unlike
-    /// [`Session::universal_solution`], an incomplete solution is
-    /// returned as-is (check its `complete` flag).
-    pub fn universal_solution(&mut self) -> &UniversalSolution {
-        self.session.universal_solution_lenient();
-        // Re-borrow through the cache to return a plain reference.
-        self.session.cached_solution().expect("just materialised")
-    }
-
-    /// Answers a query, returning the certain answers and the route
-    /// taken. Historical contract: an incomplete rewriting falls back to
-    /// materialisation, and an over-budget chase still yields (possibly
-    /// partial) answers instead of an error.
-    pub fn answer(&mut self, query: &GraphPatternQuery) -> (AnswerSet, AnswerRoute) {
-        if self.session.config().strategy == Strategy::Datalog {
-            // Honour the Datalog route when the system supports it (full
-            // graph mapping assertions); otherwise stay lenient and fall
-            // through to materialisation.
-            if let Ok(prepared) = self.session.prepare(query) {
-                if let Ok(stream) = self.session.execute(&prepared) {
-                    return (stream.into_set(), AnswerRoute::Datalog);
-                }
-            }
-        }
-        let use_rewriting = match self.session.config().strategy {
-            Strategy::Materialise | Strategy::Datalog => false,
-            Strategy::Rewrite => true,
-            Strategy::Auto => self.session.rewriter_mut().fo_rewritable(),
-        };
-        if use_rewriting {
-            let cfg = self.session.config().rewrite.clone();
-            let (answers, complete) = self.session.rewriter_mut().answers(query, &cfg);
-            if complete {
-                return (answers, AnswerRoute::Rewritten);
-            }
-            // Incomplete rewriting is unsound to trust: fall back.
-        }
-        let sol = self.session.universal_solution_lenient();
-        (certain_answers(&sol, query), AnswerRoute::Materialised)
-    }
-
-    /// Answers and removes equivalence-induced redundancy (Listing 1's
-    /// "Result without redundancy").
-    pub fn answer_without_redundancy(
-        &mut self,
-        query: &GraphPatternQuery,
-    ) -> (AnswerSet, AnswerRoute) {
-        let (ans, route) = self.answer(query);
-        (
-            ans.without_redundancy(self.session.equivalence_index()),
-            route,
-        )
-    }
-}
-
-#[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::system::RpsBuilder;
-    use crate::PeerId;
-    use rps_query::{GraphPattern, TermOrVar, Variable};
-    use rps_rdf::Term;
-
-    fn v(n: &str) -> Variable {
-        Variable::new(n)
-    }
-
-    fn linear_system() -> RdfPeerSystem {
-        let mut a = PeerId(0);
-        let mut b = PeerId(0);
-        let premise = GraphPatternQuery::new(
-            vec![v("x"), v("y")],
-            GraphPattern::triple(
-                TermOrVar::var("x"),
-                TermOrVar::iri("http://b/actor"),
-                TermOrVar::var("y"),
-            ),
-        );
-        let conclusion = GraphPatternQuery::new(
-            vec![v("x"), v("y")],
-            GraphPattern::triple(
-                TermOrVar::var("x"),
-                TermOrVar::iri("http://a/cast"),
-                TermOrVar::var("y"),
-            ),
-        );
-        RpsBuilder::new()
-            .peer_turtle("A", "<http://a/f1> <http://a/cast> <http://a/p1> .", &mut a)
-            .unwrap()
-            .peer_turtle(
-                "B",
-                "<http://b/f2> <http://b/actor> <http://b/p2> .",
-                &mut b,
-            )
-            .unwrap()
-            .assertion(b, a, premise, conclusion)
-            .unwrap()
-            .equivalence("http://a/p1", "http://b/p2")
-            .build()
-    }
-
-    fn cast_query() -> GraphPatternQuery {
-        GraphPatternQuery::new(
-            vec![v("x"), v("y")],
-            GraphPattern::triple(
-                TermOrVar::var("x"),
-                TermOrVar::iri("http://a/cast"),
-                TermOrVar::var("y"),
-            ),
-        )
-    }
+    use crate::session::tests::{cast_query, linear_system};
+    use crate::session::{EngineConfig, ExecRoute, Session, Strategy};
 
     #[test]
     fn auto_uses_rewriting_for_linear_systems() {
-        let mut engine = RpsEngine::new(linear_system());
-        let (ans, route) = engine.answer(&cast_query());
-        assert_eq!(route, AnswerRoute::Rewritten);
-        assert_eq!(ans.len(), 4);
+        let mut s = Session::open(linear_system(), EngineConfig::default()).unwrap();
+        let prepared = s.prepare(&cast_query()).unwrap();
+        assert_eq!(prepared.route(), ExecRoute::Rewritten);
+        assert_eq!(s.execute(&prepared).unwrap().len(), 4);
     }
 
     #[test]
     fn strategies_agree() {
         let sys = linear_system();
-        let mut m = RpsEngine::new(sys.clone()).with_strategy(Strategy::Materialise);
-        let mut r = RpsEngine::new(sys).with_strategy(Strategy::Rewrite);
-        let (am, rm) = m.answer(&cast_query());
-        let (ar, rr) = r.answer(&cast_query());
-        assert_eq!(rm, AnswerRoute::Materialised);
-        assert_eq!(rr, AnswerRoute::Rewritten);
-        assert_eq!(am.tuples, ar.tuples);
-    }
-
-    #[test]
-    fn redundancy_free_answers_pick_representatives() {
-        let mut engine = RpsEngine::new(linear_system());
-        let (full, _) = engine.answer(&cast_query());
-        let (lean, _) = engine.answer_without_redundancy(&cast_query());
-        assert!(lean.len() < full.len());
-        // p1/p2 pairs collapse to one representative per subject.
-        for t in &lean.tuples {
-            assert!(!t.is_empty());
-        }
-    }
-
-    #[test]
-    fn datalog_strategy_takes_datalog_route_when_full() {
-        let sys = crate::datalog_route::tests_support::transitive_system(10);
-        let mut engine = RpsEngine::new(sys).with_strategy(Strategy::Datalog);
-        let (ans, route) = engine.answer(&crate::datalog_route::tests_support::edge_query());
-        assert_eq!(route, AnswerRoute::Datalog);
-        assert_eq!(ans.len(), 55);
-        // A system with existential conclusions cannot take the Datalog
-        // route; the shim stays lenient and materialises instead.
-        let mut a = PeerId(0);
-        let mut b = PeerId(0);
-        let premise = GraphPatternQuery::new(
-            vec![v("x"), v("y")],
-            GraphPattern::triple(
-                TermOrVar::var("x"),
-                TermOrVar::iri("http://b/actor"),
-                TermOrVar::var("y"),
-            ),
-        );
-        let conclusion = GraphPatternQuery::new(
-            vec![v("x"), v("y")],
-            GraphPattern::triple(
-                TermOrVar::var("x"),
-                TermOrVar::iri("http://a/starring"),
-                TermOrVar::var("z"),
-            )
-            .and(GraphPattern::triple(
-                TermOrVar::var("z"),
-                TermOrVar::iri("http://a/artist"),
-                TermOrVar::var("y"),
-            )),
-        );
-        let sys = RpsBuilder::new()
-            .peer_turtle(
-                "A",
-                "<http://a/f> <http://a/starring> <http://a/c> .\n\
-                 <http://a/c> <http://a/artist> <http://a/p> .",
-                &mut a,
-            )
-            .unwrap()
-            .peer_turtle(
-                "B",
-                "<http://b/f2> <http://b/actor> <http://b/p2> .",
-                &mut b,
-            )
-            .unwrap()
-            .assertion(b, a, premise, conclusion)
-            .unwrap()
-            .build();
-        let mut lenient = RpsEngine::new(sys).with_strategy(Strategy::Datalog);
-        let starring = GraphPatternQuery::new(
-            vec![v("x")],
-            GraphPattern::triple(
-                TermOrVar::var("x"),
-                TermOrVar::iri("http://a/starring"),
-                TermOrVar::var("z"),
-            ),
-        );
-        let (ans, route) = lenient.answer(&starring);
-        assert_eq!(route, AnswerRoute::Materialised);
-        assert_eq!(ans.len(), 2); // a/f plus the fired b/f2
-    }
-
-    #[test]
-    fn materialise_route_answers_equivalence_queries() {
-        let mut engine = RpsEngine::new(linear_system()).with_strategy(Strategy::Materialise);
-        let (ans, route) = engine.answer(&cast_query());
-        assert_eq!(route, AnswerRoute::Materialised);
-        assert!(ans
-            .tuples
-            .contains(&vec![Term::iri("http://a/f1"), Term::iri("http://b/p2")]));
+        let config = |strategy| EngineConfig::default().with_strategy(strategy);
+        let mut m = Session::open(sys.clone(), config(Strategy::Materialise)).unwrap();
+        let mut r = Session::open(sys, config(Strategy::Rewrite)).unwrap();
+        let am = m.answer(&cast_query()).unwrap();
+        let ar = r.answer(&cast_query()).unwrap();
+        assert_eq!(am.route(), ExecRoute::Materialised);
+        assert_eq!(ar.route(), ExecRoute::Rewritten);
+        assert_eq!(am.into_set().tuples, ar.into_set().tuples);
     }
 }

@@ -22,10 +22,13 @@
 //!   Proposition 3 ([`rewriting`]),
 //! * a union-find fast path for equivalence saturation used as an
 //!   engineering ablation ([`equivalence`]),
-//! * the unified answering façade — [`session::Session`],
+//! * the answering façades — [`session::Session`], the shareable
+//!   [`FrozenSession`] and the epoch-pinned [`live::LiveReader`] — with
 //!   [`session::PreparedQuery`], streaming [`session::AnswerStream`]
-//!   results and the typed [`error::RpsError`] — plus the legacy
-//!   [`engine::RpsEngine`] shim kept for its historical contract.
+//!   results and the typed [`error::RpsError`],
+//! * SPARQL text on every façade through one implementation,
+//!   [`sparql::PreparedSparql`]: parse and lower once, prepare each
+//!   lowered CQ on the façade, execute each plan, assemble the result.
 
 #![warn(missing_docs)]
 
@@ -34,7 +37,6 @@ pub mod chase;
 pub mod datalog_route;
 pub mod discovery;
 pub mod encode;
-pub mod engine;
 pub mod equivalence;
 pub mod error;
 pub mod fault;
@@ -45,6 +47,9 @@ pub mod rewriting;
 pub mod session;
 pub mod sparql;
 pub mod system;
+
+#[cfg(test)]
+mod engine;
 
 pub use answers::{certain_answers, certain_answers_union, AnswerSet};
 pub use chase::{
@@ -57,7 +62,6 @@ pub use discovery::{
 pub use encode::{
     encode_system, graph_as_tt, graph_as_tt_mapped, query_to_cq, DataExchange, Encoder,
 };
-pub use engine::{AnswerRoute, RpsEngine};
 pub use equivalence::{canonicalize_graph, expand_answers, saturate_naive, EquivalenceIndex};
 pub use error::RpsError;
 pub use fault::{splitmix64, FailureCause, FailurePolicy, RetryPolicy};

@@ -23,7 +23,9 @@
 //!   the writer's retention floor passes it — then execution fails with
 //!   the typed [`RpsError::StalePlan`] and the caller re-prepares;
 //! - the plan cache is per-epoch, so a cached plan can never be
-//!   executed against a graph it was not compiled for.
+//!   executed against a graph it was not compiled for;
+//! - [`LiveReader::prepare_sparql`] reads the current snapshot once, so
+//!   every lowered CQ of one SPARQL query pins the same epoch.
 //!
 //! # Incremental maintenance
 //!
@@ -48,8 +50,9 @@ use crate::session::{
     canonical_plan_key, stream_vars, AnswerStream, EngineConfig, ExecRoute, PlanCache, Strategy,
     DEFAULT_PLAN_CACHE_CAPACITY,
 };
+use crate::sparql::PreparedSparql;
 use crate::system::{scoped_term, RdfPeerSystem};
-use rps_query::{GraphPatternQuery, PreparedQueryIds, Semantics};
+use rps_query::{GraphPatternQuery, PreparedQueryIds, Semantics, SparqlResult};
 use rps_rdf::{IdTriple, Term, Triple};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -389,25 +392,28 @@ impl LiveReader {
     /// *names* are always the caller's own (α-equivalent queries share
     /// the compiled plan but not the name vector).
     pub fn prepare(&self, query: &GraphPatternQuery) -> Result<LivePlan, RpsError> {
-        let snapshot = self.shared.current.read().expect("epoch lock").clone();
+        self.prepare_on(&self.snapshot(), query)
+    }
+
+    /// The currently published snapshot.
+    fn snapshot(&self) -> Arc<EpochSnapshot> {
+        self.shared.current.read().expect("epoch lock").clone()
+    }
+
+    /// [`LiveReader::prepare`] against one given snapshot.
+    fn prepare_on(
+        &self,
+        snapshot: &EpochSnapshot,
+        query: &GraphPatternQuery,
+    ) -> Result<LivePlan, RpsError> {
         let key = canonical_plan_key(query);
-        let cached = snapshot.plans.lock().expect("plan cache lock").lookup(&key);
-        let plan = match cached {
-            Some(hit) => hit,
-            None => {
-                // Compile outside the cache lock; first insert wins.
-                let compiled = Arc::new(PreparedQueryIds::compile_only(
-                    &snapshot.solution.graph,
-                    query,
-                ));
-                snapshot
-                    .plans
-                    .lock()
-                    .expect("plan cache lock")
-                    .insert(key, compiled)
-            }
+        let compile = || {
+            Ok(PreparedQueryIds::compile_only(
+                &snapshot.solution.graph,
+                query,
+            ))
         };
-        Ok(LivePlan {
+        PlanCache::get_or_compile(&snapshot.plans, key, compile).map(|plan| LivePlan {
             epoch: snapshot.epoch,
             solution: snapshot.solution.clone(),
             plan,
@@ -442,6 +448,29 @@ impl LiveReader {
         let plan = self.prepare(query)?;
         self.execute(&plan)
     }
+
+    /// [`crate::Session::prepare_sparql`] on a live reader. The current
+    /// snapshot is read once, so every lowered CQ of the query is
+    /// pinned to the same epoch and the assembled answers are exactly
+    /// that epoch's.
+    pub fn prepare_sparql(&self, text: &str) -> Result<PreparedSparql<LivePlan>, RpsError> {
+        let snapshot = self.snapshot();
+        PreparedSparql::prepare(text, |cq| self.prepare_on(&snapshot, cq))
+    }
+
+    /// Executes a prepared SPARQL query against its pinned epoch.
+    pub fn execute_sparql(
+        &self,
+        prepared: &PreparedSparql<LivePlan>,
+    ) -> Result<SparqlResult, RpsError> {
+        prepared.execute(|plan| self.execute(plan))
+    }
+
+    /// Parses, prepares and executes against the current epoch.
+    pub fn answer_sparql(&self, text: &str) -> Result<SparqlResult, RpsError> {
+        let prepared = self.prepare_sparql(text)?;
+        self.execute_sparql(&prepared)
+    }
 }
 
 /// A query compiled by [`LiveReader::prepare`] against one specific
@@ -465,58 +494,12 @@ impl LivePlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::system::RpsBuilder;
+    use crate::datalog_route::tests_support::existential_system;
     use rps_query::{GraphPattern, TermOrVar, Variable};
     use std::collections::BTreeSet;
 
     fn v(n: &str) -> Variable {
         Variable::new(n)
-    }
-
-    /// Two peers: peer B holds `actor` facts, peer A uses
-    /// `starring`/`artist`; one GMA translates B into A's shape with an
-    /// existential witness (`z`) between the two A-triples.
-    fn small_system() -> RdfPeerSystem {
-        let mut a = PeerId(0);
-        let mut b = PeerId(0);
-        let premise = GraphPatternQuery::new(
-            vec![v("x"), v("y")],
-            GraphPattern::triple(
-                TermOrVar::var("x"),
-                TermOrVar::iri("http://b/actor"),
-                TermOrVar::var("y"),
-            ),
-        );
-        let conclusion = GraphPatternQuery::new(
-            vec![v("x"), v("y")],
-            GraphPattern::triple(
-                TermOrVar::var("x"),
-                TermOrVar::iri("http://a/starring"),
-                TermOrVar::var("z"),
-            )
-            .and(GraphPattern::triple(
-                TermOrVar::var("z"),
-                TermOrVar::iri("http://a/artist"),
-                TermOrVar::var("y"),
-            )),
-        );
-        RpsBuilder::new()
-            .peer_turtle(
-                "A",
-                "<http://a/film> <http://a/starring> _:c .\n\
-                 _:c <http://a/artist> <http://a/actor1> .",
-                &mut a,
-            )
-            .unwrap()
-            .peer_turtle(
-                "B",
-                "<http://b/film2> <http://b/actor> <http://b/actor2> .",
-                &mut b,
-            )
-            .unwrap()
-            .assertion(b, a, premise, conclusion)
-            .unwrap()
-            .build()
     }
 
     /// Join through the existential witness, so both projected
@@ -552,7 +535,7 @@ mod tests {
 
     #[test]
     fn open_publishes_epoch_zero_with_chased_solution() {
-        let live = LiveSession::open(small_system(), EngineConfig::default()).expect("opens");
+        let live = LiveSession::open(existential_system(), EngineConfig::default()).expect("opens");
         assert_eq!(live.epoch(), 0);
         let reader = live.reader();
         assert_eq!(reader.epoch(), 0);
@@ -564,7 +547,7 @@ mod tests {
     #[test]
     fn rewrite_strategy_is_rejected() {
         let config = EngineConfig::default().with_strategy(Strategy::Rewrite);
-        match LiveSession::open(small_system(), config) {
+        match LiveSession::open(existential_system(), config) {
             Err(e) => assert!(matches!(e, RpsError::LiveNeedsMaterialisation), "{e}"),
             Ok(_) => panic!("rewrite strategy must be rejected"),
         }
@@ -572,7 +555,8 @@ mod tests {
 
     #[test]
     fn insert_extends_answers_and_bumps_epoch() {
-        let mut live = LiveSession::open(small_system(), EngineConfig::default()).expect("opens");
+        let mut live =
+            LiveSession::open(existential_system(), EngineConfig::default()).expect("opens");
         let reader = live.reader();
         let batch = UpdateBatch::new().insert(PeerId(1), actor_triple("film3", "actor3"));
         let epoch = live.apply(&batch).expect("applies");
@@ -584,7 +568,8 @@ mod tests {
 
     #[test]
     fn remove_retracts_derived_consequences() {
-        let mut live = LiveSession::open(small_system(), EngineConfig::default()).expect("opens");
+        let mut live =
+            LiveSession::open(existential_system(), EngineConfig::default()).expect("opens");
         let batch = UpdateBatch::new().remove(PeerId(1), actor_triple("film2", "actor2"));
         live.apply(&batch).expect("applies");
         let answers = live
@@ -600,8 +585,9 @@ mod tests {
 
     #[test]
     fn plans_pin_their_epoch_until_the_floor_passes() {
-        let mut live = LiveSession::open_with_retention(small_system(), EngineConfig::default(), 1)
-            .expect("opens");
+        let mut live =
+            LiveSession::open_with_retention(existential_system(), EngineConfig::default(), 1)
+                .expect("opens");
         let reader = live.reader();
         let plan0 = reader.prepare(&cast_query()).expect("prepares");
         let before = reader.execute(&plan0).expect("executes").into_set();
@@ -632,7 +618,8 @@ mod tests {
 
     #[test]
     fn remove_then_insert_of_the_same_triple_is_a_noop() {
-        let mut live = LiveSession::open(small_system(), EngineConfig::default()).expect("opens");
+        let mut live =
+            LiveSession::open(existential_system(), EngineConfig::default()).expect("opens");
         let before = live
             .reader()
             .answer(&cast_query())
@@ -653,7 +640,8 @@ mod tests {
 
     #[test]
     fn incremental_matches_from_scratch_rechase() {
-        let mut live = LiveSession::open(small_system(), EngineConfig::default()).expect("opens");
+        let mut live =
+            LiveSession::open(existential_system(), EngineConfig::default()).expect("opens");
         let batch = UpdateBatch::new()
             .insert(PeerId(1), actor_triple("film3", "actor3"))
             .remove(PeerId(1), actor_triple("film2", "actor2"));

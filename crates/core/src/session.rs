@@ -318,6 +318,42 @@ enum Plan {
     Datalog,
 }
 
+impl Plan {
+    /// An id-level plan against a materialised solution. The solution is
+    /// frozen, so the plan compiles against it without interning
+    /// (unknown constants are simply unsatisfiable).
+    fn materialised(
+        solution: Arc<UniversalSolution>,
+        query: &GraphPatternQuery,
+        order: JoinOrder,
+    ) -> Self {
+        let plan = PreparedQueryIds::compile_only_with(&solution.graph, query, order);
+        Plan::Materialised { solution, plan }
+    }
+
+    /// A canonical UCQ rewriting compiled into branch plans, or the
+    /// typed [`RpsError::RewriteBudget`] when the expansion exhausts
+    /// `budgets` (an incomplete rewriting is unsound to trust).
+    fn rewritten(
+        rewriter: &mut RpsRewriter,
+        query: &GraphPatternQuery,
+        budgets: &RewriteConfig,
+    ) -> Result<Self, RpsError> {
+        let rewriting = rewriter.rewrite_canonical(query, budgets);
+        if !rewriting.complete {
+            return Err(RpsError::RewriteBudget {
+                explored: rewriting.explored,
+                max_depth: budgets.max_depth,
+                max_cqs: budgets.max_cqs,
+            });
+        }
+        Ok(Plan::Rewritten {
+            branches: rewriter.compile_branches(&rewriting),
+            graph: rewriter.canon_graph_arc(),
+        })
+    }
+}
+
 /// A query compiled once against a [`Session`] — route resolved,
 /// result semantics captured, rewriting expanded, id-level pattern plan
 /// built — and executable any number of times with [`Session::execute`]
@@ -492,16 +528,31 @@ pub(crate) fn stream_vars(query: &GraphPatternQuery) -> Vec<String> {
         .collect()
 }
 
-/// Executes a materialised or rewritten plan. Everything this touches —
-/// the `Arc`ed solution, the sealed canonical graph carried by the plan,
-/// the equivalence index — is immutable, so both the mutable [`Session`]
-/// and the shared [`crate::FrozenSession`] route through here (the
-/// latter concurrently from many threads).
+/// Executes a prepared plan for the session identified by `owner`
+/// (session id, configuration generation). The materialised and
+/// rewritten routes touch only immutable state — the `Arc`ed solution,
+/// the sealed canonical graph carried by the plan, the equivalence
+/// index — so both the mutable [`Session`] and the shared
+/// [`crate::FrozenSession`] route through here (the latter concurrently
+/// from many threads); the Datalog route answers through `datalog`,
+/// the caller's engine.
 pub(crate) fn execute_plan(
     prepared: &PreparedQuery,
+    owner: (u64, u32),
     eq_index: &EquivalenceIndex,
     exec: &ExecConfig,
+    datalog: impl FnOnce(&GraphPatternQuery) -> AnswerSet,
 ) -> Result<AnswerStream, RpsError> {
+    let (session_id, generation) = owner;
+    if prepared.session_id != session_id {
+        return Err(RpsError::SessionMismatch);
+    }
+    if prepared.generation != generation {
+        return Err(RpsError::StalePlan {
+            prepared: prepared.generation,
+            current: generation,
+        });
+    }
     let vars = stream_vars(&prepared.query);
     let workers = exec.resolved_workers();
     match &prepared.plan {
@@ -564,7 +615,14 @@ pub(crate) fn execute_plan(
                 expanded,
             ))
         }
-        Plan::Datalog => unreachable!("Datalog plans execute through their engine"),
+        Plan::Datalog => {
+            let answers = datalog(&prepared.query);
+            Ok(AnswerStream::from_terms(
+                vars,
+                ExecRoute::Datalog,
+                answers.tuples,
+            ))
+        }
     }
 }
 
@@ -663,7 +721,13 @@ impl Session {
         {
             self.solution = None;
         }
-        let sol = self.universal_solution_lenient();
+        let sol = self
+            .solution
+            .get_or_insert_with(|| {
+                self.solution_budgets = Some(self.config.chase.clone());
+                Arc::new(chase_system(&self.system, &self.config.chase))
+            })
+            .clone();
         if !sol.complete {
             return Err(RpsError::ChaseBudget {
                 rounds: sol.stats.rounds,
@@ -671,22 +735,6 @@ impl Session {
             });
         }
         Ok(sol)
-    }
-
-    /// The universal solution without the completeness check — the
-    /// compatibility path for the deprecated [`crate::RpsEngine`] shim,
-    /// which historically returned answers over incomplete solutions.
-    pub(crate) fn universal_solution_lenient(&mut self) -> Arc<UniversalSolution> {
-        if self.solution.is_none() {
-            self.solution = Some(Arc::new(chase_system(&self.system, &self.config.chase)));
-            self.solution_budgets = Some(self.config.chase.clone());
-        }
-        self.solution.as_ref().expect("just materialised").clone()
-    }
-
-    /// The already-materialised solution, if any (shim support).
-    pub(crate) fn cached_solution(&self) -> Option<&UniversalSolution> {
-        self.solution.as_deref()
     }
 
     /// The cached rewriter, built on first use.
@@ -718,11 +766,7 @@ impl Session {
 
     fn prepare_materialised(&mut self, query: &GraphPatternQuery) -> Result<Plan, RpsError> {
         let solution = self.universal_solution()?;
-        // The solution is frozen, so the plan compiles against it without
-        // interning (unknown constants are simply unsatisfiable).
-        let plan =
-            PreparedQueryIds::compile_only_with(&solution.graph, query, self.config.exec.order);
-        Ok(Plan::Materialised { solution, plan })
+        Ok(Plan::materialised(solution, query, self.config.exec.order))
     }
 
     /// Compiles a query once — route resolution, canonical UCQ rewriting
@@ -746,29 +790,15 @@ impl Session {
                 self.prepare_materialised(query)?,
             ),
             ExecRoute::Rewritten => {
-                let cfg = self.config.rewrite.clone();
-                let rewriting = self.rewriter_mut().rewrite_canonical(query, &cfg);
-                if rewriting.complete {
-                    let rewriter = self.rewriter_mut();
-                    let branches = rewriter.compile_branches(&rewriting);
-                    let graph = rewriter.canon_graph_arc();
-                    (
-                        ExecRoute::Rewritten,
-                        false,
-                        Plan::Rewritten { graph, branches },
-                    )
-                } else if self.config.strategy == Strategy::Rewrite {
-                    return Err(RpsError::RewriteBudget {
-                        explored: rewriting.explored,
-                        max_depth: cfg.max_depth,
-                        max_cqs: cfg.max_cqs,
-                    });
-                } else {
-                    (
+                let budgets = self.config.rewrite.clone();
+                match Plan::rewritten(self.rewriter_mut(), query, &budgets) {
+                    Ok(plan) => (ExecRoute::Rewritten, false, plan),
+                    Err(err) if self.config.strategy == Strategy::Rewrite => return Err(err),
+                    Err(_) => (
                         ExecRoute::Materialised,
                         true,
                         self.prepare_materialised(query)?,
-                    )
+                    ),
                 }
             }
             ExecRoute::Datalog => {
@@ -795,27 +825,17 @@ impl Session {
     /// *current* configuration ([`RpsError::StalePlan`] after a
     /// [`Session::config_mut`] call — re-prepare first).
     pub fn execute(&mut self, prepared: &PreparedQuery) -> Result<AnswerStream, RpsError> {
-        if prepared.session_id != self.id {
-            return Err(RpsError::SessionMismatch);
-        }
-        if prepared.generation != self.generation {
-            return Err(RpsError::StalePlan {
-                prepared: prepared.generation,
-                current: self.generation,
-            });
-        }
-        match &prepared.plan {
-            Plan::Datalog => {
+        let owner = (self.id, self.generation);
+        execute_plan(
+            prepared,
+            owner,
+            &self.eq_index,
+            &self.config.exec,
+            |query| {
                 let engine = self.datalog.as_mut().expect("datalog built at prepare");
-                let ans = engine.answers(&prepared.query);
-                Ok(AnswerStream::from_terms(
-                    stream_vars(&prepared.query),
-                    ExecRoute::Datalog,
-                    ans.tuples,
-                ))
-            }
-            _ => execute_plan(prepared, &self.eq_index, &self.config.exec),
-        }
+                engine.answers(query)
+            },
+        )
     }
 
     /// Prepares and executes in one call. Prefer [`Session::prepare`] +
@@ -856,7 +876,7 @@ impl Session {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::system::RpsBuilder;
     use crate::PeerId;
@@ -866,7 +886,7 @@ mod tests {
         Variable::new(n)
     }
 
-    fn linear_system() -> RdfPeerSystem {
+    pub(crate) fn linear_system() -> RdfPeerSystem {
         let mut a = PeerId(0);
         let mut b = PeerId(0);
         let premise = GraphPatternQuery::new(
@@ -900,7 +920,7 @@ mod tests {
             .build()
     }
 
-    fn cast_query() -> GraphPatternQuery {
+    pub(crate) fn cast_query() -> GraphPatternQuery {
         GraphPatternQuery::new(
             vec![v("x"), v("y")],
             GraphPattern::triple(
@@ -1223,5 +1243,73 @@ mod tests {
                 &[Term::iri("http://b/f2"), Term::iri("http://a/p1")]
             )
             .unwrap());
+    }
+
+    #[test]
+    fn redundancy_free_answers_pick_representatives() {
+        let mut s = Session::open(linear_system(), EngineConfig::default()).unwrap();
+        let full = s.answer(&cast_query()).unwrap().into_set();
+        let lean = s.answer_without_redundancy(&cast_query()).unwrap();
+        assert!(lean.len() < full.len());
+        // p1/p2 pairs collapse to one representative per subject.
+        for t in &lean.tuples {
+            assert!(!t.is_empty());
+        }
+    }
+
+    #[test]
+    fn datalog_strategy_takes_datalog_route_when_full() {
+        let sys = crate::datalog_route::tests_support::transitive_system(10);
+        let mut s = Session::new(
+            sys,
+            EngineConfig::default().with_strategy(Strategy::Datalog),
+        );
+        let stream = s
+            .answer(&crate::datalog_route::tests_support::edge_query())
+            .unwrap();
+        assert_eq!(stream.route(), ExecRoute::Datalog);
+        assert_eq!(stream.len(), 55);
+        // A system with existential conclusions cannot take the Datalog
+        // route: the Datalog strategy reports that as a typed error, and
+        // the materialised route answers instead.
+        let sys = crate::datalog_route::tests_support::existential_system();
+        let starring = GraphPatternQuery::new(
+            vec![v("x")],
+            GraphPattern::triple(
+                TermOrVar::var("x"),
+                TermOrVar::iri("http://a/starring"),
+                TermOrVar::var("z"),
+            ),
+        );
+        let mut datalog = Session::new(
+            sys.clone(),
+            EngineConfig::default().with_strategy(Strategy::Datalog),
+        );
+        assert!(matches!(
+            datalog.prepare(&starring),
+            Err(RpsError::NotDatalog(_))
+        ));
+        let mut mat = Session::new(
+            sys,
+            EngineConfig::default().with_strategy(Strategy::Materialise),
+        );
+        let stream = mat.answer(&starring).unwrap();
+        assert_eq!(stream.route(), ExecRoute::Materialised);
+        assert_eq!(stream.len(), 2); // a/film plus the fired b/film2
+    }
+
+    #[test]
+    fn materialise_route_answers_equivalence_queries() {
+        let mut s = Session::open(
+            linear_system(),
+            EngineConfig::default().with_strategy(Strategy::Materialise),
+        )
+        .unwrap();
+        let stream = s.answer(&cast_query()).unwrap();
+        assert_eq!(stream.route(), ExecRoute::Materialised);
+        assert!(stream
+            .into_set()
+            .tuples
+            .contains(&vec![Term::iri("http://a/f1"), Term::iri("http://b/p2")]));
     }
 }

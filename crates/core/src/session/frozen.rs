@@ -71,8 +71,8 @@
 //! ```
 
 use super::{
-    execute_plan, next_session_id, stream_vars, AnswerStream, EngineConfig, ExecRoute, Plan,
-    PreparedQuery, Session, Strategy,
+    execute_plan, next_session_id, AnswerStream, EngineConfig, ExecRoute, Plan, PreparedQuery,
+    Session, Strategy,
 };
 use crate::chase::{RpsChaseStats, UniversalSolution};
 use crate::datalog_route::DatalogEngine;
@@ -132,8 +132,24 @@ impl<T> PlanCache<T> {
         }
     }
 
+    /// The plan cached under `key`, or `compile`'s plan inserted under
+    /// it. Compiles outside the cache lock; if several threads race on
+    /// the same fresh key, the first insert wins and the rest adopt it.
+    pub fn get_or_compile<E>(
+        cache: &Mutex<Self>,
+        key: String,
+        compile: impl FnOnce() -> Result<T, E>,
+    ) -> Result<Arc<T>, E> {
+        let hit = cache.lock().expect("plan cache lock").lookup(&key);
+        if let Some(hit) = hit {
+            return Ok(hit);
+        }
+        let compiled = Arc::new(compile()?);
+        Ok(cache.lock().expect("plan cache lock").insert(key, compiled))
+    }
+
     /// Fetches the plan cached under `key`, counting a hit or a miss.
-    pub fn lookup(&mut self, key: &str) -> Option<Arc<T>> {
+    fn lookup(&mut self, key: &str) -> Option<Arc<T>> {
         match self.map.get(key) {
             Some(hit) => {
                 self.hits += 1;
@@ -149,7 +165,7 @@ impl<T> PlanCache<T> {
     /// Inserts a freshly compiled plan, unless a concurrent preparation
     /// of the same key landed first — then that plan wins (so every
     /// caller of the same key converges on one shared `Arc`).
-    pub fn insert(&mut self, key: String, plan: Arc<T>) -> Arc<T> {
+    fn insert(&mut self, key: String, plan: Arc<T>) -> Arc<T> {
         if let Some(existing) = self.map.get(&key) {
             return existing.clone();
         }
@@ -393,25 +409,9 @@ impl FrozenSession {
     /// first-prepared representative of the α-equivalence class; answer
     /// tuples are identical for every member of the class.
     pub fn prepare(&self, query: &GraphPatternQuery) -> Result<Arc<PreparedQuery>, RpsError> {
-        let key = canonical_plan_key(query);
-        if let Some(hit) = self
-            .inner
-            .cache
-            .lock()
-            .expect("plan cache lock")
-            .lookup(&key)
-        {
-            return Ok(hit);
-        }
-        // Compile outside the cache lock; if several threads race on the
-        // same fresh query, the first insert wins and the rest adopt it.
-        let compiled = Arc::new(self.compile(query)?);
-        Ok(self
-            .inner
-            .cache
-            .lock()
-            .expect("plan cache lock")
-            .insert(key, compiled))
+        PlanCache::get_or_compile(&self.inner.cache, canonical_plan_key(query), || {
+            self.compile(query)
+        })
     }
 
     /// Route resolution without the compile lock (the FO-rewritability
@@ -434,55 +434,40 @@ impl FrozenSession {
 
     fn compile(&self, query: &GraphPatternQuery) -> Result<PreparedQuery, RpsError> {
         let inner = &*self.inner;
-        let materialised = |rewrite_fell_back: bool| -> Result<(ExecRoute, bool, Plan), RpsError> {
+        let materialised = |rewrite_fell_back: bool| {
             let solution = inner
                 .solution
                 .as_ref()
                 .expect("freeze materialised the solution for this route")
                 .clone();
-            let plan = rps_query::PreparedQueryIds::compile_only_with(
-                &solution.graph,
-                query,
-                inner.config.exec.order,
-            );
-            Ok((
-                ExecRoute::Materialised,
-                rewrite_fell_back,
-                Plan::Materialised { solution, plan },
-            ))
+            let plan = Plan::materialised(solution, query, inner.config.exec.order);
+            (ExecRoute::Materialised, rewrite_fell_back, plan)
         };
         let (route, rewrite_fell_back, plan) = match self.resolve_route() {
-            ExecRoute::Materialised | ExecRoute::Federated => materialised(false)?,
+            ExecRoute::Materialised | ExecRoute::Federated => materialised(false),
             ExecRoute::Datalog => (ExecRoute::Datalog, false, Plan::Datalog),
             ExecRoute::Rewritten => {
-                let cfg = inner.config.rewrite.clone();
-                let mut rewriter = inner
+                let compiler = inner
                     .compiler
                     .as_ref()
-                    .expect("freeze built the rewriter for this route")
-                    .lock()
-                    .expect("compile lock");
-                let rewriting = rewriter.rewrite_canonical(query, &cfg);
-                if rewriting.complete {
-                    let branches = rewriter.compile_branches(&rewriting);
-                    let graph = rewriter.canon_graph_arc();
-                    (
-                        ExecRoute::Rewritten,
-                        false,
-                        Plan::Rewritten { graph, branches },
-                    )
-                } else if inner.config.strategy == Strategy::Rewrite || inner.solution.is_none() {
+                    .expect("freeze built the rewriter for this route");
+                let rewritten = Plan::rewritten(
+                    &mut compiler.lock().expect("compile lock"),
+                    query,
+                    &inner.config.rewrite,
+                );
+                match rewritten {
+                    Ok(plan) => (ExecRoute::Rewritten, false, plan),
                     // Explicit Rewrite reports the typed error; Auto can
                     // only fall back if a (complete) solution was frozen
                     // in — a frozen session cannot start a chase.
-                    return Err(RpsError::RewriteBudget {
-                        explored: rewriting.explored,
-                        max_depth: cfg.max_depth,
-                        max_cqs: cfg.max_cqs,
-                    });
-                } else {
-                    drop(rewriter);
-                    materialised(true)?
+                    Err(err)
+                        if inner.config.strategy == Strategy::Rewrite
+                            || inner.solution.is_none() =>
+                    {
+                        return Err(err)
+                    }
+                    Err(_) => materialised(true),
                 }
             }
         };
@@ -507,32 +492,18 @@ impl FrozenSession {
     /// [`Session::config_mut`]).
     pub fn execute(&self, prepared: &PreparedQuery) -> Result<AnswerStream, RpsError> {
         let inner = &*self.inner;
-        if prepared.session_id != inner.id {
-            return Err(RpsError::SessionMismatch);
-        }
-        if prepared.generation != inner.generation {
-            return Err(RpsError::StalePlan {
-                prepared: prepared.generation,
-                current: inner.generation,
-            });
-        }
-        match &prepared.plan {
-            Plan::Datalog => {
-                let mut engine = inner
-                    .datalog
-                    .as_ref()
-                    .expect("freeze built the Datalog engine for this route")
-                    .lock()
-                    .expect("datalog lock");
-                let ans = engine.answers(&prepared.query);
-                Ok(AnswerStream::from_terms(
-                    stream_vars(&prepared.query),
-                    ExecRoute::Datalog,
-                    ans.tuples,
-                ))
-            }
-            _ => execute_plan(prepared, &inner.eq_index, &inner.config.exec),
-        }
+        let owner = (inner.id, inner.generation);
+        execute_plan(
+            prepared,
+            owner,
+            &inner.eq_index,
+            &inner.config.exec,
+            |query| {
+                let datalog = inner.datalog.as_ref();
+                let engine = datalog.expect("freeze built the Datalog engine for this route");
+                engine.lock().expect("datalog lock").answers(query)
+            },
+        )
     }
 
     /// Prepares (or fetches from the plan cache) and executes in one

@@ -3,7 +3,7 @@
 //! answers.
 
 use rps_core::{PeerId, RdfPeerSystem, RpsBuilder};
-use rps_query::{parse_query, GraphPatternQuery, Query};
+use rps_query::{parse_sparql, GraphPatternQuery};
 use rps_rdf::{PrefixMap, Term};
 use std::collections::BTreeSet;
 
@@ -143,12 +143,11 @@ pub fn paper_example() -> PaperExample {
 
 /// Parses a SELECT query into a [`GraphPatternQuery`] (single branch).
 pub fn query_from(prefixes: &PrefixMap, text: &str) -> GraphPatternQuery {
-    match parse_query(text, prefixes).expect("query parses") {
-        Query::Select(u) => {
-            assert_eq!(u.branches().len(), 1, "expected a conjunctive query");
-            GraphPatternQuery::new(u.free_vars().to_vec(), u.branches()[0].clone())
-        }
-        Query::Ask(_) => panic!("expected SELECT"),
+    let lowered = parse_sparql(text, prefixes).expect("query parses").lower();
+    assert!(!lowered.is_ask(), "expected SELECT");
+    match lowered.queries()[..] {
+        [query] => query.clone(),
+        _ => panic!("expected a conjunctive query"),
     }
 }
 

@@ -23,21 +23,15 @@
 //! range scans (served by each peer graph's permutation indexes —
 //! sorted-run storage by default, see `rps_rdf::store`), array-lookup
 //! id translation, and hash joins on dense `u32` tuples at the
-//! originator. No term is parsed, cloned, re-interned
-//! or compared per peer per round — the failure mode of the previous
-//! term-level path, which is retained as
-//! [`FederatedEngine::evaluate_union_term_level`] for the benchmark
-//! baseline and agreement tests.
+//! originator. No term is parsed, cloned, re-interned or compared per
+//! peer per round.
 
 use crate::network::{NodeId, SimNetwork};
 use crate::routing::SchemaIndex;
 use crate::transport::{SimTransport, Transport};
 use crate::wire::{self, WireMessage, WireRequest, WireSlot};
 use rps_core::{FailureCause, FailurePolicy, PeerId, RdfPeerSystem, RetryPolicy, RpsError};
-use rps_query::{
-    evaluate_pattern, join, GraphPattern, GraphPatternQuery, Mapping, Semantics, TermOrVar,
-    UnionQuery, Variable,
-};
+use rps_query::{GraphPattern, GraphPatternQuery, Semantics, TermOrVar, UnionQuery, Variable};
 use rps_rdf::{Graph, Term, TermDict, TermId};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
@@ -506,31 +500,6 @@ impl FederatedEngine {
                 &transport,
                 &RetryPolicy::none(),
                 FailurePolicy::Strict,
-            )
-            .expect("the perfect in-process transport cannot fail");
-        (out, stats)
-    }
-
-    /// [`FederatedEngine::execute`], fanning the prepared branches out
-    /// across OS threads. See
-    /// [`FederatedEngine::execute_parallel_with`] for the semantics.
-    pub fn execute_parallel(
-        &self,
-        prepared: &PreparedFederation,
-        semantics: Semantics,
-        net: &mut SimNetwork,
-        max_threads: usize,
-    ) -> (BTreeSet<Vec<TermId>>, FederationStats) {
-        let transport = SimTransport::new(Arc::clone(&self.locals));
-        let (out, stats, _report) = self
-            .execute_parallel_with(
-                prepared,
-                semantics,
-                net,
-                &transport,
-                &RetryPolicy::none(),
-                FailurePolicy::Strict,
-                max_threads,
             )
             .expect("the perfect in-process transport cannot fail");
         (out, stats)
@@ -1020,124 +989,6 @@ impl FederatedEngine {
         let (ids, stats) = self.execute(&prepared, semantics, net);
         (self.decode_prepared(&prepared, &ids), stats)
     }
-
-    // ------------------------------------------------------------------
-    // Term-level baseline (the pre-redesign path), kept for the e12
-    // benchmark ablation and the agreement tests.
-    // ------------------------------------------------------------------
-
-    /// Evaluates a single conjunctive branch federatedly at the term
-    /// level, returning the solution mappings. Every pattern is
-    /// re-compiled at every peer and every binding materialises owned
-    /// terms — this is the baseline the id-level path is measured
-    /// against.
-    fn evaluate_branch_term_level(
-        &self,
-        branch: &GraphPattern,
-        net: &mut SimNetwork,
-        stats: &mut FederationStats,
-    ) -> Vec<Mapping> {
-        let mut acc: Option<Vec<Mapping>> = None;
-        for pattern in branch.patterns() {
-            let peers = self.index.route(pattern);
-            let mut pattern_bindings: Vec<Mapping> = Vec::new();
-            let request_bytes = pattern.to_string().len();
-            let mut contacted = BTreeSet::new();
-            for peer in peers {
-                contacted.insert(peer);
-                net.send(self.originator, peer.0, request_bytes, "subquery");
-                stats.subqueries += 1;
-                let single = GraphPattern::from_patterns(vec![pattern.clone()]);
-                let bindings = evaluate_pattern(&self.locals[peer.0], &single);
-                let response_bytes: usize = bindings
-                    .iter()
-                    .map(|m| {
-                        m.iter()
-                            .map(|(v, t)| v.name().len() + t.to_string().len())
-                            .sum::<usize>()
-                    })
-                    .sum();
-                stats.tuples_received += bindings.len();
-                net.send(peer.0, self.originator, response_bytes.max(1), "answers");
-                pattern_bindings.extend(bindings);
-            }
-            stats.peers_contacted = stats.peers_contacted.max(contacted.len());
-            pattern_bindings.sort();
-            pattern_bindings.dedup();
-            acc = Some(match acc {
-                None => pattern_bindings,
-                Some(prev) => join(&prev, &pattern_bindings),
-            });
-        }
-        acc.unwrap_or_else(|| vec![Mapping::new()])
-    }
-
-    /// Term-level evaluation of one branch with an explicit head
-    /// template, accumulating into `out` and `stats` (baseline
-    /// counterpart of the prepared path's templated projection).
-    pub fn evaluate_templated_term_level(
-        &self,
-        branch: &GraphPattern,
-        head: &[TermOrVar],
-        semantics: Semantics,
-        net: &mut SimNetwork,
-        stats: &mut FederationStats,
-        out: &mut BTreeSet<Vec<Term>>,
-    ) {
-        let mappings = self.evaluate_branch_term_level(branch, net, stats);
-        'mappings: for m in mappings {
-            let mut tuple = Vec::with_capacity(head.len());
-            for entry in head {
-                match entry {
-                    TermOrVar::Var(v) => match m.get(v) {
-                        Some(t) => tuple.push(t.clone()),
-                        None => continue 'mappings,
-                    },
-                    TermOrVar::Term(t) => tuple.push(t.clone()),
-                }
-            }
-            if semantics == Semantics::Certain && tuple.iter().any(Term::is_blank) {
-                continue;
-            }
-            out.insert(tuple);
-        }
-    }
-
-    /// Term-level evaluation of a UCQ (the pre-redesign path).
-    pub fn evaluate_union_term_level(
-        &self,
-        query: &UnionQuery,
-        semantics: Semantics,
-        net: &mut SimNetwork,
-    ) -> (BTreeSet<Vec<Term>>, FederationStats) {
-        let mut stats = FederationStats::default();
-        let mut out = BTreeSet::new();
-        for branch in query.branches() {
-            let mappings = self.evaluate_branch_term_level(branch, net, &mut stats);
-            for m in mappings {
-                if let Some(tuple) = m.project(query.free_vars()) {
-                    if semantics == Semantics::Certain && tuple.iter().any(Term::is_blank) {
-                        continue;
-                    }
-                    out.insert(tuple);
-                }
-            }
-        }
-        stats.messages = net.message_count();
-        stats.bytes = net.total_bytes();
-        (out, stats)
-    }
-
-    /// Term-level evaluation of a single graph pattern query.
-    pub fn evaluate_query_term_level(
-        &self,
-        query: &GraphPatternQuery,
-        semantics: Semantics,
-        net: &mut SimNetwork,
-    ) -> (BTreeSet<Vec<Term>>, FederationStats) {
-        let union = UnionQuery::new(query.free_vars().to_vec(), vec![query.pattern().clone()]);
-        self.evaluate_union_term_level(&union, semantics, net)
-    }
 }
 
 #[cfg(test)]
@@ -1200,15 +1051,14 @@ mod tests {
     }
 
     #[test]
-    fn id_level_agrees_with_term_level() {
+    fn id_level_agrees_with_centralised_across_semantics() {
         let sys = system();
         let engine = FederatedEngine::new(&sys);
         for semantics in [Semantics::Certain, Semantics::Star] {
             let mut net = SimNetwork::new();
             let (fed, _) = engine.evaluate_query(&path_query(), semantics, &mut net);
-            let mut net2 = SimNetwork::new();
-            let (term, _) = engine.evaluate_query_term_level(&path_query(), semantics, &mut net2);
-            assert_eq!(fed, term);
+            let central = central_eval(&sys.stored_database(), &path_query(), semantics);
+            assert_eq!(fed, central, "{semantics:?}");
         }
     }
 
@@ -1408,8 +1258,17 @@ mod tests {
             let (seq_ids, seq_stats) = engine.execute(&prepared, semantics, &mut seq_net);
             for threads in [1, 2, 4, 8] {
                 let mut par_net = SimNetwork::new();
-                let (par_ids, par_stats) =
-                    engine.execute_parallel(&prepared, semantics, &mut par_net, threads);
+                let (par_ids, par_stats, _) = engine
+                    .execute_parallel_with(
+                        &prepared,
+                        semantics,
+                        &mut par_net,
+                        &SimTransport::new(engine.peer_graphs()),
+                        &RetryPolicy::none(),
+                        FailurePolicy::Strict,
+                        threads,
+                    )
+                    .unwrap();
                 assert_eq!(par_ids, seq_ids, "{threads} threads, {semantics:?}");
                 assert_eq!(par_stats, seq_stats);
                 assert_eq!(par_net.messages(), seq_net.messages(), "traffic trace");

@@ -18,12 +18,12 @@
 //!   centralised evaluation over the stored database. Queries are
 //!   *prepared once* (routing, per-peer constant resolution, head
 //!   templates) and executed at the id level against an originator-side
-//!   answer dictionary — the term-level path survives as a benchmark
-//!   baseline;
+//!   answer dictionary;
 //! * [`service`] — the full prototype pipeline behind the
 //!   [`service::FederatedSession`] façade (rewrite once → prepare once →
 //!   federate repeatedly), sharing `rps_core`'s `Session` vocabulary
-//!   (`EngineConfig`, `AnswerStream`, `ExecRoute`, `RpsError`);
+//!   (`EngineConfig`, `AnswerStream`, `ExecRoute`, `RpsError`) and its
+//!   one SPARQL implementation (`PreparedSparql`);
 //! * [`wire`] — the length-prefixed wire format every transport (and the
 //!   simulator's byte accounting) shares;
 //! * [`transport`] — the pluggable peer-exchange layer: a perfect
@@ -47,8 +47,8 @@ pub use federation::{
 pub use network::{CostModel, Message, NodeId, SimNetwork};
 pub use routing::SchemaIndex;
 pub use service::{
-    FederatedAnswer, FederatedSession, FrozenFederatedSession, P2pQueryService,
-    PreparedFederatedQuery, PreparedFederatedSparql, ServiceAnswer,
+    FederatedAnswer, FederatedSession, FrozenFederatedSession, PreparedFederatedQuery,
+    PreparedFederatedSparql,
 };
 pub use transport::{
     FaultConfig, FaultyTransport, Reply, SimTransport, TcpTransport, Transport, TransportError,

@@ -7,8 +7,8 @@
 //! [`GraphPattern`].
 
 use crate::eval::{evaluate_query, has_match, Semantics};
-use crate::pattern::{GraphPattern, GraphPatternQuery, Variable};
-use rps_rdf::{Graph, Term};
+use crate::pattern::{GraphPattern, GraphPatternQuery, TermOrVar, Variable};
+use rps_rdf::{Graph, PrefixMap, Term};
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -101,13 +101,6 @@ pub enum Query {
 }
 
 impl Query {
-    /// The underlying UCQ.
-    pub fn as_union(&self) -> &UnionQuery {
-        match self {
-            Query::Select(u) | Query::Ask(u) => u,
-        }
-    }
-
     /// Evaluates the query; ASK queries return a singleton/empty answer
     /// set encoding true/false.
     pub fn evaluate(&self, graph: &Graph, semantics: Semantics) -> QueryResult {
@@ -115,6 +108,54 @@ impl Query {
             Query::Select(u) => QueryResult::Tuples(u.evaluate(graph, semantics)),
             Query::Ask(u) => QueryResult::Boolean(u.ask(graph)),
         }
+    }
+}
+
+/// Serialises a query back to SPARQL text, shrinking IRIs with `prefixes`.
+pub fn to_sparql(query: &Query, prefixes: &PrefixMap) -> String {
+    let render_term = |t: &Term| -> String {
+        if let Term::Iri(iri) = t {
+            if let Some(s) = prefixes.shrink(iri) {
+                return s;
+            }
+        }
+        t.to_string()
+    };
+    let render_tv = |tv: &TermOrVar| -> String {
+        match tv {
+            TermOrVar::Term(t) => render_term(t),
+            TermOrVar::Var(v) => v.to_string(),
+        }
+    };
+    let render_branch = |gp: &GraphPattern| -> String {
+        let pats: Vec<String> = gp
+            .patterns()
+            .iter()
+            .map(|p| {
+                format!(
+                    "{} {} {}",
+                    render_tv(&p.s),
+                    render_tv(&p.p),
+                    render_tv(&p.o)
+                )
+            })
+            .collect();
+        format!("{{ {} }}", pats.join(" . "))
+    };
+    let render_union = |u: &UnionQuery| -> String {
+        if u.branches().len() == 1 {
+            render_branch(&u.branches()[0])
+        } else {
+            let branches: Vec<String> = u.branches().iter().map(render_branch).collect();
+            format!("{{ {} }}", branches.join(" UNION "))
+        }
+    };
+    match query {
+        Query::Select(u) => {
+            let vars: Vec<String> = u.free_vars().iter().map(|v| v.to_string()).collect();
+            format!("SELECT {} WHERE {}", vars.join(" "), render_union(u))
+        }
+        Query::Ask(u) => format!("ASK {}", render_union(u)),
     }
 }
 
@@ -237,5 +278,43 @@ mod tests {
         let r = Query::Select(u).evaluate(&g, Semantics::Certain);
         assert_eq!(r.tuples().unwrap().len(), 1);
         assert!(r.boolean().is_none());
+    }
+
+    fn prefixes() -> PrefixMap {
+        let mut m = PrefixMap::common();
+        m.insert("e", "http://e/");
+        m
+    }
+
+    /// Parses `text` with the SPARQL front-end and rebuilds the UCQ
+    /// its lowered conjunctive queries denote.
+    fn parse_ucq(text: &str) -> Query {
+        let lowered = crate::parse_sparql(text, &prefixes()).unwrap().lower();
+        let queries = lowered.queries();
+        let union = UnionQuery::new(
+            queries[0].free_vars().to_vec(),
+            queries.iter().map(|q| q.pattern().clone()).collect(),
+        );
+        if lowered.is_ask() {
+            Query::Ask(union)
+        } else {
+            Query::Select(union)
+        }
+    }
+
+    fn roundtrip(src: &str) {
+        let q = parse_ucq(src);
+        let text = to_sparql(&q, &prefixes());
+        assert_eq!(parse_ucq(&text), q, "{text}");
+    }
+
+    #[test]
+    fn roundtrip_through_to_sparql() {
+        roundtrip("SELECT ?x ?y WHERE { ?x e:p ?z . ?z e:q ?y }");
+    }
+
+    #[test]
+    fn roundtrip_union_ask() {
+        roundtrip("ASK {{ ?x e:p ?y } UNION { ?x e:q ?y }}");
     }
 }

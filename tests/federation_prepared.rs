@@ -1,15 +1,13 @@
-//! Federation agreement under the redesigned API: the id-level prepared
-//! federated path must return exactly the same answer sets as the
-//! retained term-level path and as centralised evaluation, across both
-//! result semantics, plain/union/templated query forms, and repeated
+//! Federation agreement under the prepared API: the id-level federated
+//! path must return exactly the same answer sets as centralised
+//! evaluation (and, after rewriting, as the chase), across both result
+//! semantics, plain/union/templated query forms, and repeated
 //! executions of one prepared query.
 
-use rps_core::{
-    certain_answers, chase_system, EngineConfig, ExecRoute, RpsChaseConfig, RpsRewriter,
-};
+use rps_core::{certain_answers, chase_system, EngineConfig, ExecRoute, RpsChaseConfig};
 use rps_lodgen::{actor_shape_query, film_system, FilmConfig, Topology};
 use rps_p2p::{FederatedEngine, FederatedSession, SimNetwork};
-use rps_query::{GraphPattern, GraphPatternQuery, Semantics, TermOrVar, UnionQuery, Variable};
+use rps_query::{GraphPattern, Semantics, TermOrVar, UnionQuery, Variable};
 use rps_tgd::RewriteConfig;
 
 fn cfg(peers: usize, seed: u64) -> FilmConfig {
@@ -33,7 +31,7 @@ fn rewrite_cfg() -> RewriteConfig {
 }
 
 #[test]
-fn id_level_equals_term_level_and_centralised_across_semantics() {
+fn id_level_equals_centralised_across_semantics() {
     for seed in [1u64, 7, 21] {
         let sys = film_system(&cfg(4, seed));
         let engine = FederatedEngine::new(&sys);
@@ -43,13 +41,7 @@ fn id_level_equals_term_level_and_centralised_across_semantics() {
             for semantics in [Semantics::Certain, Semantics::Star] {
                 let mut net = SimNetwork::new();
                 let (id_path, _) = engine.evaluate_query(&query, semantics, &mut net);
-                let mut net = SimNetwork::new();
-                let (term_path, _) = engine.evaluate_query_term_level(&query, semantics, &mut net);
                 let central = rps_query::evaluate_query(&stored, &query, semantics);
-                assert_eq!(
-                    id_path, term_path,
-                    "seed {seed} shape {shape} {semantics:?}"
-                );
                 assert_eq!(id_path, central, "seed {seed} shape {shape} {semantics:?}");
             }
         }
@@ -76,65 +68,29 @@ fn union_forms_agree_across_paths() {
     for semantics in [Semantics::Certain, Semantics::Star] {
         let mut net = SimNetwork::new();
         let (id_path, _) = engine.evaluate_union(&union, semantics, &mut net);
-        let mut net = SimNetwork::new();
-        let (term_path, _) = engine.evaluate_union_term_level(&union, semantics, &mut net);
-        assert_eq!(id_path, term_path, "{semantics:?}");
         let central = union.evaluate(&stored, semantics);
         assert_eq!(id_path, central, "{semantics:?}");
     }
 }
 
-/// The old term-level service pipeline, replayed by hand: rewrite
-/// canonically, evaluate every templated branch at the term level over
-/// the canonical stores, expand over the equivalence classes.
-fn term_level_service_answers(
-    sys: &rps_core::RdfPeerSystem,
-    query: &GraphPatternQuery,
-) -> std::collections::BTreeSet<Vec<rps_rdf::Term>> {
-    let mut rewriter = RpsRewriter::new(sys);
-    let engine = FederatedEngine::new_canonical(sys, rewriter.index());
-    let rewriting = rewriter.rewrite_canonical(query, &rewrite_cfg());
-    assert!(rewriting.complete);
-    let branches = rewriting.branches(rewriter.encoder());
-    let mut net = SimNetwork::new();
-    let mut stats = rps_p2p::FederationStats::default();
-    let mut canon = std::collections::BTreeSet::new();
-    for (pattern, template) in &branches {
-        engine.evaluate_templated_term_level(
-            pattern,
-            template,
-            Semantics::Certain,
-            &mut net,
-            &mut stats,
-            &mut canon,
-        );
-    }
-    rps_core::expand_answers(&canon, rewriter.index())
-}
-
 #[test]
-fn templated_rewritten_pipeline_agrees_with_chase_and_term_level() {
+fn templated_rewritten_pipeline_agrees_with_chase() {
     for seed in [3u64, 13] {
         let sys = film_system(&cfg(4, seed));
         let query = actor_shape_query(3, false);
 
-        // New id-level prepared pipeline.
+        // Id-level prepared pipeline.
         let mut session =
             FederatedSession::open(&sys, EngineConfig::default().with_rewrite(rewrite_cfg()))
                 .unwrap();
         let result = session.answer(&query).unwrap();
-        assert!(result.complete, "seed {seed}");
         assert_eq!(result.stream.route(), ExecRoute::Federated);
         let id_answers = result.stream.into_set();
-
-        // Old term-level pipeline.
-        let term_answers = term_level_service_answers(&sys, &query);
 
         // Centralised reference (Algorithm 1).
         let sol = chase_system(&sys, &RpsChaseConfig::default());
         let chased = certain_answers(&sol, &query);
 
-        assert_eq!(id_answers.tuples, term_answers, "seed {seed}");
         assert_eq!(id_answers.tuples, chased.tuples, "seed {seed}");
     }
 }

@@ -12,14 +12,17 @@
 //!   later epochs land, until the writer's retention floor passes it;
 //!   only then does execution fail, with the typed
 //!   [`RpsError::StalePlan`], and a re-prepare recovers.
+//! * **One epoch per SPARQL query** — every plan of a prepared SPARQL
+//!   query pins the same epoch, and its answers are exactly that
+//!   epoch's under the reference `LoweredSparql::evaluate`.
 //!
 //! CI runs this suite under `RUST_TEST_THREADS=8`.
 
 use rps_core::{
     EngineConfig, LiveSession, PeerId, RdfPeerSystem, RpsBuilder, RpsError, UpdateBatch,
 };
-use rps_query::{GraphPattern, GraphPatternQuery, TermOrVar, Variable};
-use rps_rdf::{Iri, Term, Triple};
+use rps_query::{parse_sparql, GraphPattern, GraphPatternQuery, Semantics, TermOrVar, Variable};
+use rps_rdf::{Iri, PrefixMap, Term, Triple};
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -176,6 +179,69 @@ fn readers_always_see_a_committed_epoch() {
         total += observations;
     }
     assert!(total > 0, "readers must have observed at least one epoch");
+}
+
+#[test]
+fn prepared_sparql_pins_one_epoch_per_query() {
+    // Two UNION branches, each with one OPTIONAL extension: four plans.
+    const SPARQL: &str = "PREFIX a: <http://a/> PREFIX b: <http://b/>\n\
+         SELECT ?x ?y ?src WHERE {\n\
+           { ?x a:starring ?z . ?z a:artist ?y } UNION { ?x b:actor ?y }\n\
+           OPTIONAL { ?src b:actor ?y }\n\
+         } ORDER BY ?x ?y";
+    let lowered = parse_sparql(SPARQL, &PrefixMap::common())
+        .expect("parses")
+        .lower();
+    let mut live = LiveSession::open(system(), EngineConfig::default()).expect("opens");
+    let mut solutions = vec![live.solution()];
+    let done = Arc::new(AtomicBool::new(false));
+
+    let readers: Vec<_> = (0..READERS)
+        .map(|_| {
+            let reader = live.reader();
+            let done = Arc::clone(&done);
+            std::thread::spawn(move || {
+                // Distinct (epoch, result) observations, in order.
+                let mut seen = Vec::new();
+                while !done.load(Ordering::Acquire) {
+                    let prepared = reader.prepare_sparql(SPARQL).expect("prepares");
+                    assert_eq!(prepared.plan_count(), 4);
+                    let epoch = prepared.plans()[0].epoch();
+                    assert!(
+                        prepared.plans().iter().all(|plan| plan.epoch() == epoch),
+                        "one prepared query spans several epochs"
+                    );
+                    let result = reader.execute_sparql(&prepared).expect("executes");
+                    if seen.last() != Some(&(epoch, result.clone())) {
+                        seen.push((epoch, result));
+                    }
+                }
+                seen
+            })
+        })
+        .collect();
+
+    for k in 0..EPOCHS {
+        live.apply(&UpdateBatch::new().insert(PeerId(1), actor_triple(k + 3)))
+            .expect("batch applies");
+        solutions.push(live.solution());
+        std::thread::sleep(std::time::Duration::from_millis(2));
+    }
+    done.store(true, Ordering::Release);
+
+    let mut observations = 0;
+    for handle in readers {
+        for (epoch, result) in handle.join().expect("reader thread panics propagate") {
+            let solution = &solutions[epoch as usize];
+            let reference = lowered.evaluate(&solution.graph, Semantics::Certain);
+            assert_eq!(result, reference, "epoch {epoch}");
+            observations += 1;
+        }
+    }
+    assert!(
+        observations > 0,
+        "readers must have observed at least one epoch"
+    );
 }
 
 #[test]

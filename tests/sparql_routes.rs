@@ -1,9 +1,12 @@
 //! SPARQL front-end acceptance: the same query text answers
 //! byte-identically on every session type — mutable [`Session`] (both
-//! strategies), [`FrozenSession`] and the federated session — and
-//! matches hand-built conjunctive plans and hand-computed ground truth.
+//! strategies), [`FrozenSession`], the live reader and the federated
+//! session — and matches hand-built conjunctive plans and hand-computed
+//! ground truth.
 
-use rps_core::{EngineConfig, JoinOrder, PeerId, RpsBuilder, Session, SparqlResult, Strategy};
+use rps_core::{
+    EngineConfig, JoinOrder, LiveSession, PeerId, RpsBuilder, Session, SparqlResult, Strategy,
+};
 use rps_p2p::FederatedSession;
 use rps_query::{GraphPattern, GraphPatternQuery, TermOrVar, Variable};
 use rps_rdf::Term;
@@ -61,6 +64,10 @@ fn select_with_optional_filter_order_limit_agrees_on_every_route() {
         .unwrap();
     let r_frozen = frozen.answer_sparql(SELECT_QUERY).unwrap();
     check_all(&r_frozen, "frozen");
+    // Live reader (epoch-pinned materialisation).
+    let live = LiveSession::open(sys.clone(), strategy(Strategy::Auto)).unwrap();
+    let r_live = live.reader().answer_sparql(SELECT_QUERY).unwrap();
+    check_all(&r_live, "live");
     // Federated session.
     let mut fed = FederatedSession::new(&sys, strategy(Strategy::Auto));
     let r_fed = fed.answer_sparql(SELECT_QUERY).unwrap();
@@ -68,6 +75,7 @@ fn select_with_optional_filter_order_limit_agrees_on_every_route() {
     // Byte-identical across routes.
     assert_eq!(r_mat, r_rw);
     assert_eq!(r_mat, r_frozen);
+    assert_eq!(r_mat, r_live);
     assert_eq!(r_mat, r_fed);
 }
 
@@ -130,6 +138,9 @@ fn ask_with_union_agrees_on_every_route() {
             .freeze()
             .unwrap();
         assert_eq!(frozen.answer_sparql(text).unwrap().boolean(), Some(want));
+        let live = LiveSession::open(sys.clone(), strategy(Strategy::Auto)).unwrap();
+        let reader = live.reader();
+        assert_eq!(reader.answer_sparql(text).unwrap().boolean(), Some(want));
         let mut fed = FederatedSession::new(&sys, strategy(Strategy::Auto));
         assert_eq!(fed.answer_sparql(text).unwrap().boolean(), Some(want));
     }
