@@ -56,7 +56,7 @@ use rps_query::{GraphPatternQuery, PreparedQueryIds, Semantics, SparqlResult};
 use rps_rdf::{IdTriple, Term, Triple};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, PoisonError, RwLock};
 
 /// A batch of peer-database updates, applied atomically by
 /// [`LiveSession::apply`]: readers observe either none of the batch or
@@ -110,6 +110,9 @@ struct EpochSnapshot {
 /// snapshot pointer and the retention floor below which plans are
 /// rejected as stale.
 struct LiveShared {
+    /// Swapped whole, in one assignment, so a thread that panicked
+    /// while holding the lock left nothing half-written: every user
+    /// recovers the guard from a poisoned lock.
     current: RwLock<Arc<EpochSnapshot>>,
     /// Lowest epoch still executable. `floor = epoch − retain`
     /// (saturating); plans below it fail with
@@ -303,7 +306,11 @@ impl LiveSession {
             }),
             plans: Mutex::new(PlanCache::new(self.cache_capacity)),
         });
-        *self.shared.current.write().expect("epoch lock") = snapshot;
+        *self
+            .shared
+            .current
+            .write()
+            .unwrap_or_else(PoisonError::into_inner) = snapshot;
         self.shared
             .floor
             .store(self.epoch.saturating_sub(self.retain), Ordering::Release);
@@ -334,7 +341,7 @@ impl LiveSession {
         self.shared
             .current
             .read()
-            .expect("epoch lock")
+            .unwrap_or_else(PoisonError::into_inner)
             .solution
             .clone()
     }
@@ -370,7 +377,11 @@ pub struct LiveReader {
 impl LiveReader {
     /// The epoch a preparation issued right now would pin.
     pub fn epoch(&self) -> u32 {
-        self.shared.current.read().expect("epoch lock").epoch
+        self.shared
+            .current
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .epoch
     }
 
     /// A handle answering under a different result semantics (`Q` drops
@@ -397,7 +408,11 @@ impl LiveReader {
 
     /// The currently published snapshot.
     fn snapshot(&self) -> Arc<EpochSnapshot> {
-        self.shared.current.read().expect("epoch lock").clone()
+        self.shared
+            .current
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone()
     }
 
     /// [`LiveReader::prepare`] against one given snapshot.
@@ -564,6 +579,36 @@ mod tests {
         assert_eq!(reader.epoch(), 1);
         let answers = reader.answer(&cast_query()).expect("answers").into_set();
         assert_eq!(answers.len(), 3);
+    }
+
+    /// A thread that panics while holding the epoch lock poisons it.
+    /// The lock guards one `Arc` swapped in a single assignment, so the
+    /// readers and the writer recover the guard and keep serving.
+    #[test]
+    fn poisoned_epoch_lock_keeps_serving() {
+        let mut live =
+            LiveSession::open(existential_system(), EngineConfig::default()).expect("opens");
+        let reader = live.reader();
+        let before = reader.answer(&cast_query()).expect("answers").into_set();
+        let shared = Arc::clone(&reader.shared);
+        let panicked = std::thread::spawn(move || {
+            let _held = shared.current.write();
+            panic!("poisoning the epoch lock");
+        })
+        .join();
+        assert!(panicked.is_err());
+        assert!(reader.shared.current.is_poisoned());
+
+        assert_eq!(reader.epoch(), 0);
+        let again = reader.answer(&cast_query()).expect("answers").into_set();
+        assert_eq!(again, before);
+        let text = "ASK { ?f <http://a/starring> ?z }";
+        assert_eq!(reader.answer_sparql(text).unwrap().boolean(), Some(true));
+        let batch = UpdateBatch::new().insert(PeerId(1), actor_triple("film3", "actor3"));
+        assert_eq!(live.apply(&batch).expect("applies"), 1);
+        assert_eq!(reader.epoch(), 1);
+        let after = reader.answer(&cast_query()).expect("answers").into_set();
+        assert_eq!(after.len(), before.len() + 1);
     }
 
     #[test]

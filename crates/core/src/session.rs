@@ -436,6 +436,15 @@ enum StreamInner {
     Terms(std::collections::btree_set::IntoIter<Vec<Term>>),
 }
 
+/// An [`AnswerStream`]'s rows as they were produced (see
+/// [`AnswerStream::into_rows`]).
+pub(crate) enum StreamRows {
+    /// Ids of the solution graph's dictionary.
+    Ids(Arc<UniversalSolution>, Vec<Vec<TermId>>),
+    /// Decoded tuples.
+    Terms(Vec<Vec<Term>>),
+}
+
 impl AnswerStream {
     /// A stream over id-level tuples, decoded lazily against the
     /// solution's dictionary.
@@ -473,6 +482,16 @@ impl AnswerStream {
     /// The route the execution took.
     pub fn route(&self) -> ExecRoute {
         self.route
+    }
+
+    /// The rows not yet read, undecoded: id-level results keep their
+    /// ids and the solution whose dictionary minted them. The SPARQL
+    /// tail consumes streams this way and decodes only what it returns.
+    pub(crate) fn into_rows(self) -> StreamRows {
+        match self.inner {
+            StreamInner::Ids { solution, iter } => StreamRows::Ids(solution, iter.collect()),
+            StreamInner::Terms(iter) => StreamRows::Terms(iter.collect()),
+        }
     }
 
     /// Drains the stream into an [`AnswerSet`].

@@ -85,7 +85,7 @@ use rps_rdf::{Graph, Iri, RdfError, Term};
 use std::collections::{HashMap, VecDeque};
 use std::fmt::Write as _;
 use std::path::Path;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Default bound of the plan cache (entries), used by
 /// [`Session::freeze`].
@@ -135,17 +135,26 @@ impl<T> PlanCache<T> {
     /// The plan cached under `key`, or `compile`'s plan inserted under
     /// it. Compiles outside the cache lock; if several threads race on
     /// the same fresh key, the first insert wins and the rest adopt it.
+    /// A poisoned lock is recovered: the cache only maps keys to
+    /// complete plans, so a panicking holder cannot leave a plan half
+    /// built.
     pub fn get_or_compile<E>(
         cache: &Mutex<Self>,
         key: String,
         compile: impl FnOnce() -> Result<T, E>,
     ) -> Result<Arc<T>, E> {
-        let hit = cache.lock().expect("plan cache lock").lookup(&key);
+        let hit = cache
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .lookup(&key);
         if let Some(hit) = hit {
             return Ok(hit);
         }
         let compiled = Arc::new(compile()?);
-        Ok(cache.lock().expect("plan cache lock").insert(key, compiled))
+        Ok(cache
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .insert(key, compiled))
     }
 
     /// Fetches the plan cached under `key`, counting a hit or a miss.
@@ -250,7 +259,9 @@ struct FrozenInner {
     /// interns its constants into the rewriter's dictionaries, so that
     /// short phase is serialised here; compiled plans carry their own
     /// `Arc` of the sealed canonical graph and execute without this
-    /// lock.
+    /// lock. Like the Datalog engine's, the rewriter's lazily built
+    /// state is assigned whole, so both locks are recovered when
+    /// poisoned.
     compiler: Option<Mutex<RpsRewriter>>,
     /// The saturated Datalog engine (least model computed at freeze).
     /// Query evaluation interns into its encoder, hence the lock.
@@ -394,7 +405,11 @@ impl FrozenSession {
 
     /// Plan-cache hit/miss counters and occupancy.
     pub fn plan_cache_stats(&self) -> PlanCacheStats {
-        self.inner.cache.lock().expect("plan cache lock").stats()
+        self.inner
+            .cache
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .stats()
     }
 
     /// Compiles a query — or returns the cached plan of an α-equivalent
@@ -452,7 +467,7 @@ impl FrozenSession {
                     .as_ref()
                     .expect("freeze built the rewriter for this route");
                 let rewritten = Plan::rewritten(
-                    &mut compiler.lock().expect("compile lock"),
+                    &mut compiler.lock().unwrap_or_else(PoisonError::into_inner),
                     query,
                     &inner.config.rewrite,
                 );
@@ -501,7 +516,10 @@ impl FrozenSession {
             |query| {
                 let datalog = inner.datalog.as_ref();
                 let engine = datalog.expect("freeze built the Datalog engine for this route");
-                engine.lock().expect("datalog lock").answers(query)
+                engine
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .answers(query)
             },
         )
     }
@@ -766,4 +784,46 @@ fn unescape_field(s: &str) -> Result<String, String> {
         }
     }
     Ok(out)
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::session::tests::{cast_query, linear_system};
+    use crate::{EngineConfig, Session, Strategy};
+
+    /// A thread that panics while holding the plan-cache lock poisons
+    /// it. The cache only maps keys to complete, immutable plans, so the
+    /// other readers recover the guard: prepare, execute and the cache
+    /// counters keep working, with the same answers.
+    #[test]
+    fn poisoned_plan_cache_keeps_serving() {
+        let config = EngineConfig::default().with_strategy(Strategy::Materialise);
+        let frozen = Session::open(linear_system(), config)
+            .unwrap()
+            .freeze()
+            .unwrap();
+        let before = frozen.answer(&cast_query()).unwrap().into_set();
+        let text = "SELECT ?x ?y WHERE { ?x <http://a/cast> ?y }";
+        let sparql = frozen.answer_sparql(text).unwrap();
+        let panicked = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _held = frozen.inner.cache.lock();
+                panic!("poisoning the plan cache");
+            })
+            .join()
+        });
+        assert!(panicked.is_err());
+        assert!(frozen.inner.cache.is_poisoned());
+
+        let hits = frozen.plan_cache_stats().hits;
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| {
+                    assert_eq!(frozen.answer(&cast_query()).unwrap().into_set(), before);
+                    assert_eq!(frozen.answer_sparql(text).unwrap(), sparql);
+                });
+            }
+        });
+        assert!(frozen.plan_cache_stats().hits > hits);
+    }
 }

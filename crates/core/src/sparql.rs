@@ -1,14 +1,17 @@
 //! SPARQL text on the answering façades.
 //!
 //! `rps_query::sparql` lowers a SPARQL SELECT/ASK query to a list of
-//! plain conjunctive queries plus a term-level assembly tail.
+//! plain conjunctive queries plus an id-level assembly tail.
 //! [`PreparedSparql`] is the one place that pipeline is wired onto a
 //! façade: [`PreparedSparql::prepare`] parses and lowers the text and
 //! prepares every lowered CQ with the façade's *ordinary* prepare —
 //! route resolution, plan cache, rewriting, cost-based join ordering,
 //! all unchanged — and [`PreparedSparql::execute`] runs every plan with
-//! the façade's execute and assembles the answer sets into the final
-//! [`SparqlResult`]. [`Session`], [`FrozenSession`],
+//! the façade's execute and assembles the streams, undecoded, into the
+//! final [`SparqlResult`]: ids of one shared solution go to the tail as
+//! they are, and term streams (rewritten, Datalog and federated routes)
+//! are interned into a per-query dictionary first. Only the rows the
+//! query returns are decoded. [`Session`], [`FrozenSession`],
 //! [`crate::LiveReader`] and the two federated sessions in `rps-p2p`
 //! expose `prepare_sparql`/`execute_sparql`/`answer_sparql` as short
 //! delegations to it, so the same query text answers byte-identically
@@ -18,13 +21,13 @@
 //! prologue, falling back to the common well-known namespaces
 //! ([`rps_rdf::PrefixMap::common`]).
 
+use crate::chase::UniversalSolution;
 use crate::error::RpsError;
 use crate::session::frozen::FrozenSession;
-use crate::session::{AnswerStream, PreparedQuery, Session};
-use rps_query::sparql::LoweredSparql;
+use crate::session::{AnswerStream, PreparedQuery, Session, StreamRows};
+use rps_query::sparql::{IdRows, LoweredSparql, QueryDict};
 use rps_query::{parse_sparql, GraphPatternQuery, SparqlResult};
-use rps_rdf::{PrefixMap, Term};
-use std::collections::BTreeSet;
+use rps_rdf::PrefixMap;
 use std::sync::Arc;
 
 /// A SPARQL query compiled against a façade: the lowered plan recipe
@@ -58,17 +61,57 @@ impl<P> PreparedSparql<P> {
     }
 
     /// Runs every plan with `execute` and assembles the answer streams
-    /// with the term-level tail (left joins, filters, ordering).
+    /// with the id-level tail (left joins, filters, ordering). Streams
+    /// that all carry ids of one solution — the materialised and live
+    /// routes, where one query's plans share one solution or epoch —
+    /// are assembled on those ids directly. Otherwise every stream is
+    /// interned into a per-query dictionary first: the rewritten,
+    /// Datalog and federated routes produce terms.
     pub fn execute(
         &self,
         mut execute: impl FnMut(&P) -> Result<AnswerStream, RpsError>,
     ) -> Result<SparqlResult, RpsError> {
-        let answers = self
+        let streams = self
             .plans
             .iter()
-            .map(|plan| execute(plan).map(|stream| stream.collect::<BTreeSet<Vec<Term>>>()))
+            .map(|plan| execute(plan).map(AnswerStream::into_rows))
             .collect::<Result<Vec<_>, _>>()?;
-        Ok(self.lowered.assemble(&answers))
+        let widths = self
+            .lowered
+            .queries()
+            .into_iter()
+            .map(|cq| cq.free_vars().len());
+        if let Some(solution) = shared_solution(&streams) {
+            let answers: Vec<IdRows> = streams
+                .iter()
+                .zip(widths)
+                .map(|(stream, width)| {
+                    let mut rows = IdRows::new(width);
+                    if let StreamRows::Ids(_, tuples) = stream {
+                        for tuple in tuples {
+                            rows.push(tuple);
+                        }
+                    }
+                    rows
+                })
+                .collect();
+            return Ok(self.lowered.assemble_ids(&answers, &solution.graph));
+        }
+        let mut dict = QueryDict::new();
+        let answers: Vec<IdRows> = streams
+            .iter()
+            .zip(widths)
+            .map(|(stream, width)| match stream {
+                StreamRows::Ids(solution, tuples) => dict.intern_rows(
+                    width,
+                    tuples
+                        .iter()
+                        .map(|tuple| tuple.iter().map(|&id| solution.graph.term(id))),
+                ),
+                StreamRows::Terms(tuples) => dict.intern_rows(width, tuples),
+            })
+            .collect();
+        Ok(self.lowered.assemble_ids(&answers, &dict))
     }
 
     /// The prepared plans, one per lowered CQ.
@@ -91,6 +134,20 @@ impl<P> PreparedSparql<P> {
     pub fn columns(&self) -> Vec<String> {
         self.lowered.columns()
     }
+}
+
+/// The solution every stream's ids belong to, if all streams carry ids
+/// of one and the same solution.
+fn shared_solution(streams: &[StreamRows]) -> Option<&Arc<UniversalSolution>> {
+    let mut shared = None;
+    for stream in streams {
+        match (stream, shared) {
+            (StreamRows::Ids(solution, _), None) => shared = Some(solution),
+            (StreamRows::Ids(solution, _), Some(first)) if Arc::ptr_eq(first, solution) => {}
+            _ => return None,
+        }
+    }
+    shared
 }
 
 impl Session {
@@ -180,5 +237,82 @@ impl FrozenSession {
     pub fn answer_sparql(&self, text: &str) -> Result<SparqlResult, RpsError> {
         let prepared = self.prepare_sparql(text)?;
         self.execute_sparql(&prepared)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::{EngineConfig, PeerId, RpsBuilder, Session, Strategy};
+
+    const QUERY: &str = "PREFIX e: <http://e/> \
+        SELECT ?x ?n WHERE { ?x e:p ?y OPTIONAL { ?y e:q ?n } } ORDER BY DESC(?n) ?x";
+
+    fn session(turtle: &str) -> Session {
+        let mut p = PeerId(0);
+        let system = RpsBuilder::new()
+            .peer_turtle("E", turtle, &mut p)
+            .unwrap()
+            .build();
+        Session::open(
+            system,
+            EngineConfig::default().with_strategy(Strategy::Materialise),
+        )
+        .unwrap()
+    }
+
+    /// Streams that are not all ids of one solution — a term stream
+    /// beside an id stream, or ids of two solutions whose dictionaries
+    /// number the same terms differently — are interned into one
+    /// per-query dictionary and assemble exactly as one solution's ids.
+    #[test]
+    fn mixed_streams_assemble_like_one_solution() {
+        let data = [
+            "<http://e/a> <http://e/p> <http://e/b> .",
+            "<http://e/c> <http://e/p> <http://e/d> .",
+            "<http://e/b> <http://e/q> \"2\" .",
+            "<http://e/d> <http://e/q> \"10\" .",
+        ];
+        let mut one = session(&data.join("\n"));
+        let reversed: Vec<_> = data.iter().rev().copied().collect();
+        let mut other = session(&reversed.join("\n"));
+
+        let prepared = one.prepare_sparql(QUERY).unwrap();
+        assert_eq!(prepared.plan_count(), 2);
+        let want = one.execute_sparql(&prepared).unwrap();
+        assert_eq!(want.rows().unwrap().rows.len(), 2);
+
+        // The OPTIONAL's plan answers as decoded terms.
+        let mut calls = 0;
+        let terms = prepared
+            .execute(|plan| {
+                calls += 1;
+                let stream = one.execute(plan)?;
+                if calls == 1 {
+                    return Ok(stream);
+                }
+                let (vars, route) = (stream.vars().to_vec(), stream.route());
+                Ok(super::AnswerStream::from_terms(
+                    vars,
+                    route,
+                    stream.collect(),
+                ))
+            })
+            .unwrap();
+        assert_eq!(terms, want);
+
+        // The OPTIONAL's plan answers with another solution's ids.
+        let foreign = other.prepare_sparql(QUERY).unwrap();
+        let mut calls = 0;
+        let mixed = prepared
+            .execute(|plan| {
+                calls += 1;
+                if calls == 1 {
+                    one.execute(plan)
+                } else {
+                    other.execute(&foreign.plans()[1])
+                }
+            })
+            .unwrap();
+        assert_eq!(mixed, want);
     }
 }

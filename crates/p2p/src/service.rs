@@ -23,7 +23,7 @@ use rps_core::{
     PlanCacheStats, PreparedSparql, RdfPeerSystem, RpsError, RpsRewriter,
 };
 use rps_query::{GraphPatternQuery, Semantics, SparqlResult};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// A query compiled once against a [`FederatedSession`]: the canonical
 /// UCQ rewriting is expanded and every branch is routed, constant-
@@ -336,7 +336,8 @@ struct FrozenFedInner {
     core: FedCore,
     fo_rewritable: bool,
     /// The rewriting compile state — held only while preparing a query
-    /// that missed the plan cache.
+    /// that missed the plan cache. Its lazily built state is assigned
+    /// whole, so this lock and the cache's are recovered when poisoned.
     compiler: Mutex<RpsRewriter>,
     cache: Mutex<PlanCache<PreparedFederatedQuery>>,
 }
@@ -378,7 +379,11 @@ impl FrozenFederatedSession {
 
     /// Plan-cache hit/miss counters and occupancy.
     pub fn plan_cache_stats(&self) -> PlanCacheStats {
-        self.inner.cache.lock().expect("plan cache lock").stats()
+        self.inner
+            .cache
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .stats()
     }
 
     /// Compiles a query — or returns the cached plan of an α-equivalent
@@ -391,7 +396,10 @@ impl FrozenFederatedSession {
     ) -> Result<Arc<PreparedFederatedQuery>, RpsError> {
         let inner = &*self.inner;
         PlanCache::get_or_compile(&inner.cache, canonical_plan_key(query), || {
-            let mut compiler = inner.compiler.lock().expect("compile lock");
+            let mut compiler = inner
+                .compiler
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
             inner.core.compile(&mut compiler, query)
         })
     }

@@ -1,5 +1,5 @@
 //! Lowering: the parsed SPARQL AST to id-level-executable conjunctive
-//! plans plus a term-level assembly recipe.
+//! plans plus an assembly recipe for the id-level tail.
 //!
 //! The engine underneath evaluates conjunctive queries (and unions of
 //! them) — that is the whole contract of the prepare/execute pipeline,
@@ -13,24 +13,26 @@
 //!   the branch BGP conjoined with the optional BGP, so its rows are
 //!   exactly the successful extensions of base rows;
 //! * FILTERs, the left-join merge, projection, DISTINCT, ORDER BY and
-//!   LIMIT/OFFSET are applied afterwards at the term level by
-//!   [`LoweredSparql::assemble`], identically on every route.
+//!   LIMIT/OFFSET are applied afterwards, on id rows, by the assembly
+//!   tail ([`LoweredSparql::assemble_ids`], or [`LoweredSparql::assemble`]
+//!   for term sets), identically on every route.
 //!
 //! The head of each CQ is minimised to the variables actually needed
 //! downstream (projection ∪ filters ∪ sort keys ∪ join vars), so the
 //! underlying plans stay as narrow as hand-written ones.
 
-use super::exec;
+use super::exec::{self, IdRows, QueryDict, TermSource};
 use super::parse::{FilterExpr, OrderKey, Projection, QueryForm, SimpleGroup, SparqlQuery};
 use crate::eval::Semantics;
 use crate::pattern::{GraphPattern, GraphPatternQuery, TriplePattern, Variable};
 use rps_rdf::{Graph, Term};
 use std::collections::BTreeSet;
 
-/// A SPARQL query lowered to conjunctive plans plus the term-level
-/// assembly recipe. Obtain one with [`SparqlQuery::lower`]; feed the
-/// per-CQ answer sets (in [`LoweredSparql::queries`] order) to
-/// [`LoweredSparql::assemble`].
+/// A SPARQL query lowered to conjunctive plans plus the assembly
+/// recipe. Obtain one with [`SparqlQuery::lower`]; feed the per-CQ
+/// answers (in [`LoweredSparql::queries`] order) to
+/// [`LoweredSparql::assemble_ids`] as id rows, or to
+/// [`LoweredSparql::assemble`] as term sets.
 #[derive(Debug, Clone)]
 pub struct LoweredSparql {
     /// `true` for ASK.
@@ -270,20 +272,49 @@ impl LoweredSparql {
             .collect()
     }
 
-    /// Assembles the final result from the per-CQ answer sets, which
-    /// must line up with [`LoweredSparql::queries`]. This is the entire
-    /// non-conjunctive tail of SPARQL evaluation — left joins, filters,
-    /// projection, DISTINCT, ORDER BY, LIMIT/OFFSET — and it is shared
-    /// verbatim by every execution route, which is what makes the
-    /// routes answer byte-identically.
+    /// Assembles the final result from the per-CQ answers, which must
+    /// line up with [`LoweredSparql::queries`]: `answers[j]` holds the
+    /// distinct answers of CQ `j`, ids of `terms` in its head order. This is the
+    /// entire non-conjunctive tail of SPARQL evaluation — left joins,
+    /// filters, projection, DISTINCT, ORDER BY, LIMIT/OFFSET — run on
+    /// ids, shared verbatim by every execution route, which is what
+    /// makes the routes answer byte-identically. Only the returned
+    /// rows are decoded.
     ///
     /// # Panics
     ///
-    /// Panics if `answers.len()` does not match the query count — the
-    /// caller zips its own execution results and a mismatch is a bug,
-    /// not an input error.
+    /// Panics if `answers.len()` does not match the query count, or a
+    /// table's width its CQ's head — the caller zips its own execution
+    /// results and a mismatch is a bug, not an input error.
+    pub fn assemble_ids<T: TermSource + ?Sized>(
+        &self,
+        answers: &[IdRows],
+        terms: &T,
+    ) -> SparqlResult {
+        exec::assemble(self, answers, terms)
+    }
+
+    /// [`LoweredSparql::assemble_ids`] over decoded answer sets: the
+    /// terms are interned into a per-query [`QueryDict`] (by reference)
+    /// and run through the same id-level tail.
+    ///
+    /// # Panics
+    ///
+    /// As [`LoweredSparql::assemble_ids`].
     pub fn assemble(&self, answers: &[BTreeSet<Vec<Term>>]) -> SparqlResult {
-        exec::assemble(self, answers)
+        let queries = self.queries();
+        assert_eq!(
+            answers.len(),
+            queries.len(),
+            "assemble needs one answer set per lowered CQ"
+        );
+        let mut dict = QueryDict::new();
+        let rows: Vec<IdRows> = queries
+            .into_iter()
+            .zip(answers)
+            .map(|(cq, set)| dict.intern_rows(cq.free_vars().len(), set))
+            .collect();
+        exec::assemble(self, &rows, &dict)
     }
 
     /// Evaluates the query directly against a single graph — the

@@ -23,23 +23,35 @@
 //!
 //! The subset is *structural*: OPTIONAL bodies and UNION alternatives
 //! are triples + filters only, so every query lowers exactly to a
-//! union of conjunctive plans plus a term-level assembly tail (left
-//! joins, filters, projection, ordering) shared by all routes. Queries
+//! union of conjunctive plans plus an id-level assembly tail (hash left
+//! joins, filters, projection, top-k ordering) shared by all routes.
+//! Rows stay [`rps_rdf::TermId`] tuples until the final page, and only
+//! the returned rows are decoded. Queries
 //! outside the subset are rejected at parse time with a typed,
 //! span-carrying [`SparqlError`] — never a panic, never a silently
 //! dropped clause.
 //!
 //! Entry points: [`parse_sparql`] text → [`SparqlQuery`] AST,
 //! [`SparqlQuery::lower`] AST → [`LoweredSparql`] conjunctive plans,
-//! [`LoweredSparql::assemble`] answer sets → [`SparqlResult`]. The
-//! session façades in `rps-core` and `rps-p2p` wrap these around their
-//! own prepare/execute pipelines.
+//! then the tail: [`LoweredSparql::assemble_ids`] takes id rows
+//! ([`IdRows`]) plus the dictionary that minted them ([`TermSource`]),
+//! and [`LoweredSparql::assemble`] takes term sets, interns them into a
+//! per-query [`QueryDict`] and runs the same tail. Both produce a
+//! [`SparqlResult`]. The session façades in `rps-core` and `rps-p2p`
+//! wrap these around their own prepare/execute pipelines; routes that
+//! answer in terms (rewritten, Datalog, federated) go through the
+//! per-query dictionary.
 
+#[cfg(test)]
+mod differential;
 mod exec;
 mod lex;
 mod lower;
 mod parse;
+#[cfg(test)]
+mod reference;
 
+pub use exec::{IdRows, QueryDict, TermSource};
 pub use lower::{LoweredSparql, SparqlResult, SparqlRows};
 pub use parse::{
     parse_sparql, CmpOp, FilterExpr, Operand, OrderKey, Projection, QueryForm, SimpleGroup,

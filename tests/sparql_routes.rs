@@ -203,6 +203,111 @@ fn join_order_knob_never_changes_sparql_answers() {
     assert_eq!(results[0], results[2]);
 }
 
+/// Answers `text` on every façade and route: [`Session`] under
+/// Materialise and Rewrite, [`FrozenSession`], the live reader and the
+/// federated session.
+fn answers_on_every_route(
+    sys: &rps_core::RdfPeerSystem,
+    text: &str,
+) -> Vec<(&'static str, SparqlResult)> {
+    let mut mat = Session::open(sys.clone(), strategy(Strategy::Materialise)).unwrap();
+    let mut rw = Session::open(sys.clone(), strategy(Strategy::Rewrite)).unwrap();
+    let frozen = Session::open(sys.clone(), strategy(Strategy::Auto))
+        .unwrap()
+        .freeze()
+        .unwrap();
+    let live = LiveSession::open(sys.clone(), strategy(Strategy::Auto)).unwrap();
+    let mut fed = FederatedSession::new(sys, strategy(Strategy::Auto));
+    vec![
+        ("materialised", mat.answer_sparql(text).unwrap()),
+        ("rewritten", rw.answer_sparql(text).unwrap()),
+        ("frozen", frozen.answer_sparql(text).unwrap()),
+        ("live", live.reader().answer_sparql(text).unwrap()),
+        ("federated", fed.answer_sparql(text).unwrap()),
+    ]
+}
+
+/// The assembly tail's edge semantics, each case with its hand-computed
+/// rows, answered byte-identically on every route.
+#[test]
+fn tail_edge_cases_agree_on_every_route() {
+    let sys = edge_system();
+    let iri = |s: &str| Some(Term::iri(format!("http://a/{s}")));
+    let b_iri = |s: &str| Some(Term::iri(format!("http://b/{s}")));
+    let lit = |s: &str| Some(Term::literal(s));
+    let cases: Vec<(&str, Vec<Vec<Option<Term>>>)> = vec![
+        // "10" and "010" tie numerically and split by term order; the
+        // two "9"s tie on the key entirely, and the full-row tie-break
+        // (a:p1 before b:p4) decides which one LIMIT keeps.
+        (
+            "SELECT ?who ?age WHERE { ?f a:cast ?who . ?who a:age ?age } \
+             ORDER BY DESC(?age) LIMIT 3",
+            vec![
+                vec![iri("p2"), lit("10")],
+                vec![iri("p3"), lit("010")],
+                vec![iri("p1"), lit("9")],
+            ],
+        ),
+        // Numeric-aware order: "9" before "10", although "10" < "9" as
+        // strings.
+        (
+            "SELECT ?who ?age WHERE { ?f a:cast ?who . ?who a:age ?age } ORDER BY ?age",
+            vec![
+                vec![iri("p1"), lit("9")],
+                vec![b_iri("p4"), lit("9")],
+                vec![iri("p3"), lit("010")],
+                vec![iri("p2"), lit("10")],
+            ],
+        ),
+        // OFFSET at and past the row count.
+        ("SELECT ?who WHERE { ?f a:cast ?who } OFFSET 4", vec![]),
+        (
+            "SELECT ?who WHERE { ?f a:cast ?who } ORDER BY ?who LIMIT 2 OFFSET 9",
+            vec![],
+        ),
+        // DISTINCT after projection: a:f1's two cast rows collapse.
+        (
+            "SELECT DISTINCT ?f WHERE { ?f a:cast ?who }",
+            vec![vec![iri("f1")], vec![iri("f2")], vec![b_iri("f3")]],
+        ),
+        // Two OPTIONALs sharing ?n: a:p1's nick "ace" is incompatible
+        // with a:f1's label "one", so the second OPTIONAL leaves that
+        // row alone (?l stays unbound); a:p2 and a:p3 take their film's
+        // label; b:p4 has neither.
+        (
+            "SELECT ?who ?n ?l WHERE { ?f a:cast ?who \
+             OPTIONAL { ?who a:nick ?n } OPTIONAL { ?f a:label ?n . ?f a:label ?l } }",
+            vec![
+                vec![iri("p1"), lit("ace"), None],
+                vec![iri("p2"), lit("one"), lit("one")],
+                vec![iri("p3"), lit("two"), lit("two")],
+                vec![b_iri("p4"), None, None],
+            ],
+        ),
+        // A UNION projecting ?n, which its second branch leaves unbound.
+        (
+            "SELECT ?x ?n WHERE { { ?x a:nick ?n } UNION { ?x a:age \"9\" } }",
+            vec![
+                vec![iri("p1"), None],
+                vec![iri("p1"), lit("ace")],
+                vec![b_iri("p4"), None],
+            ],
+        ),
+    ];
+    for (body, want) in cases {
+        let text = format!("PREFIX a: <http://a/> {body}");
+        let results = answers_on_every_route(&sys, &text);
+        for (label, result) in &results {
+            let rows = result.rows().unwrap_or_else(|| panic!("{label}: rows"));
+            assert_eq!(rows.rows, want, "{label}: {body}");
+        }
+        assert!(
+            results.windows(2).all(|w| w[0].1 == w[1].1),
+            "routes differ on {body}"
+        );
+    }
+}
+
 fn strategy(strategy: Strategy) -> EngineConfig {
     EngineConfig {
         strategy,
@@ -244,6 +349,52 @@ fn build_system() -> rps_core::RdfPeerSystem {
             "B",
             "<http://b/f3> <http://b/actor> <http://b/p3> .\n\
              <http://b/p3> <http://a/age> \"40\" .",
+            &mut b,
+        )
+        .unwrap()
+        .assertion(b, a, premise, conclusion)
+        .unwrap()
+        .build()
+}
+
+/// Data for the tail's edge cases: tied and numerically equal ages,
+/// a film with two cast members, nick and label sharing one variable,
+/// and peer B's `actor` mapped to peer A's `cast`.
+fn edge_system() -> rps_core::RdfPeerSystem {
+    let mut a = PeerId(0);
+    let mut b = PeerId(0);
+    let premise = GraphPatternQuery::new(
+        vec![Variable::new("x"), Variable::new("y")],
+        GraphPattern::triple(
+            TermOrVar::var("x"),
+            TermOrVar::iri("http://b/actor"),
+            TermOrVar::var("y"),
+        ),
+    );
+    let conclusion = GraphPatternQuery::new(
+        vec![Variable::new("x"), Variable::new("y")],
+        GraphPattern::triple(
+            TermOrVar::var("x"),
+            TermOrVar::iri("http://a/cast"),
+            TermOrVar::var("y"),
+        ),
+    );
+    RpsBuilder::new()
+        .peer_turtle(
+            "A",
+            "@prefix a: <http://a/> .\n\
+             a:f1 a:cast a:p1 , a:p2 ; a:label \"one\" .\n\
+             a:f2 a:cast a:p3 ; a:label \"two\" .\n\
+             a:p1 a:age \"9\" ; a:nick \"ace\" .\n\
+             a:p2 a:age \"10\" .\n\
+             a:p3 a:age \"010\" .",
+            &mut a,
+        )
+        .unwrap()
+        .peer_turtle(
+            "B",
+            "<http://b/f3> <http://b/actor> <http://b/p4> .\n\
+             <http://b/p4> <http://a/age> \"9\" .",
             &mut b,
         )
         .unwrap()
