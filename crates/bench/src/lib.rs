@@ -1250,24 +1250,22 @@ pub fn e16_fault_tolerance(fault_rates: &[f64]) -> Table {
 
 /// E17 — the durable storage tier: persisting a materialised universal
 /// solution and reopening it from disk vs re-running the chase cold,
-/// plus the overhead of scanning the checksummed paged run files
-/// through a small buffer pool against the recovered in-memory indexes.
+/// plus the cost of reading the checksummed paged run files against a
+/// scan of the recovered in-memory indexes.
 ///
 /// `sizes` are films-per-peer as in [`e4_chase_scaling`]. For each
 /// size the solution is chased once (the cold path a restart would
 /// otherwise pay), checkpointed with [`rps_rdf::Graph::persist`], and
 /// recovered with [`rps_rdf::Graph::open`]; `reopen speedup` is
 /// chase-wall over persist+reopen-wall — the restart amortisation the
-/// tier exists for. The scan columns drive one full SPO pass through
-/// [`rps_rdf::store::disk::PagedRun`] over a deliberately tiny
-/// (16-frame) [`rps_rdf::store::disk::BufferPool`] — every page fault,
-/// checksum and eviction on the clock — against `iter_ids` on the
-/// recovered graph. `agree` pins both paths to the key counts the
-/// manifest promises.
+/// tier exists for. The read columns time one verified sequential pass
+/// over every SPO run file with [`rps_rdf::store::disk::read_run_file`]
+/// (the reader `Graph::open` uses: every page read and checksummed)
+/// against `iter_ids` on the recovered graph. `agree` pins both paths
+/// to the key counts the manifest promises.
 pub fn e17_durability(sizes: &[usize]) -> Table {
-    use rps_rdf::store::disk::{BufferPool, Manifest, PagedRun};
+    use rps_rdf::store::disk::{read_run_file, Manifest};
     use rps_rdf::Graph;
-    const POOL_FRAMES: usize = 16;
 
     let mut rows = Vec::new();
     for (i, &films) in sizes.iter().enumerate() {
@@ -1299,26 +1297,19 @@ pub fn e17_durability(sizes: &[usize]) -> Table {
         let stats = reopened.storage_stats();
 
         let manifest = Manifest::load(&dir).expect("manifest");
-        let mut pool = BufferPool::new(POOL_FRAMES);
-        let runs: Vec<PagedRun> = manifest.runs[0]
-            .iter()
-            .map(|m| PagedRun::open(&mut pool, &dir.join(&m.name), m.keys).expect("run"))
-            .collect();
         let t3 = Instant::now();
-        let mut paged_keys = 0usize;
-        for run in &runs {
-            run.for_each_in_range(&mut pool, [u32::MIN; 3], [u32::MAX; 3], &mut |_| {
-                paged_keys += 1
-            })
-            .expect("paged scan");
+        let mut read_keys = 0usize;
+        for m in &manifest.runs[0] {
+            let (keys, _) = read_run_file(&dir.join(&m.name), m.keys).expect("run read");
+            read_keys += keys.len();
         }
-        let paged = t3.elapsed();
+        let read = t3.elapsed();
         let t4 = Instant::now();
         let mem_keys = reopened.iter_ids().count();
         let mem = t4.elapsed();
         let _ = std::fs::remove_dir_all(&dir);
 
-        let agree = paged_keys == stats.run_keys && mem_keys == reopened.len();
+        let agree = read_keys == stats.run_keys && mem_keys == reopened.len();
         rows.push(vec![
             sol.graph.len().to_string(),
             ms(chase),
@@ -1327,14 +1318,14 @@ pub fn e17_durability(sizes: &[usize]) -> Table {
             speedup(chase, persist + reopen),
             stats.pages_read.to_string(),
             stats.wal_replayed.to_string(),
-            ms(paged),
+            ms(read),
             ms(mem),
-            speedup(paged, mem),
+            speedup(read, mem),
             agree.to_string(),
         ]);
     }
     Table {
-        title: "E17 — durability: persist+reopen vs cold re-chase; paged-run scan vs in-memory"
+        title: "E17 — durability: persist+reopen vs cold re-chase; run-file read vs in-memory"
             .into(),
         headers: vec![
             "solution triples".into(),
@@ -1344,9 +1335,9 @@ pub fn e17_durability(sizes: &[usize]) -> Table {
             "reopen speedup".into(),
             "pages read".into(),
             "wal replayed".into(),
-            "paged scan ms".into(),
+            "run read ms".into(),
             "mem scan ms".into(),
-            "scan overhead".into(),
+            "read overhead".into(),
             "agree".into(),
         ],
         rows,

@@ -329,23 +329,10 @@ pub fn gma_tgd_unguarded(
     Tgd::new(body_atoms, head_atoms)
 }
 
-/// Encodes an RDF graph directly as `tt` facts (used when evaluating
-/// rewritings "directly over the sources": the `ts → tt` copy is the
-/// identity, so sources can be loaded as `tt`).
+/// Encodes an RDF graph directly as `tt` facts (the Datalog route's
+/// source instance: the `ts → tt` copy is the identity, so sources can
+/// be loaded as `tt`).
 pub fn graph_as_tt(graph: &Graph, enc: &mut Encoder) -> Instance {
-    graph_as_tt_mapped(graph, enc).0
-}
-
-/// [`graph_as_tt`], additionally returning the term-id → value-id
-/// translation built as a by-product of encoding (indexed by
-/// [`rps_rdf::TermId`]; `None` for dictionary entries no triple uses).
-/// The id-level rewriting pipeline inverts it to hand id-CQ branches to
-/// `rps_query::PreparedQueryIds` without a decode / re-intern round
-/// trip.
-pub fn graph_as_tt_mapped(
-    graph: &Graph,
-    enc: &mut Encoder,
-) -> (Instance, Vec<Option<rps_tgd::ValId>>) {
     let mut inst = Instance::new();
     let tt = inst.intern_pred(&Sym::from("tt"));
     // Encode and intern each distinct RDF term once; rows are assembled
@@ -367,7 +354,7 @@ pub fn graph_as_tt_mapped(
         ];
         inst.insert_row(tt, Box::new(row));
     }
-    (inst, memo)
+    inst
 }
 
 #[cfg(test)]

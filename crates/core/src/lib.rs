@@ -59,9 +59,7 @@ pub use datalog_route::DatalogEngine;
 pub use discovery::{
     discover, evaluate as evaluate_discovery, Candidate, DiscoveryConfig, DiscoveryQuality,
 };
-pub use encode::{
-    encode_system, graph_as_tt, graph_as_tt_mapped, query_to_cq, DataExchange, Encoder,
-};
+pub use encode::{encode_system, graph_as_tt, query_to_cq, DataExchange, Encoder};
 pub use equivalence::{canonicalize_graph, expand_answers, saturate_naive, EquivalenceIndex};
 pub use error::RpsError;
 pub use fault::{splitmix64, FailureCause, FailurePolicy, RetryPolicy};
@@ -71,8 +69,9 @@ pub use peer::{Peer, PeerId, PeerValidationError};
 pub use rewriting::{cq_to_pattern, RpsRewriter, RpsRewriting};
 pub use rps_query::{JoinOrder, SparqlError, SparqlResult, SparqlRows};
 pub use session::{
-    canonical_plan_key, AnswerStream, EngineConfig, ExecConfig, ExecRoute, FrozenSession,
-    PlanCache, PlanCacheStats, PreparedQuery, Session, Strategy, DEFAULT_PLAN_CACHE_CAPACITY,
+    canonical_plan_key, check_owner, next_session_id, stream_vars, AnswerStream, EngineConfig,
+    ExecConfig, ExecRoute, FrozenSession, PlanCache, PlanCacheStats, PreparedQuery, Session,
+    Strategy, DEFAULT_PLAN_CACHE_CAPACITY,
 };
 pub use sparql::PreparedSparql;
 pub use system::{RdfPeerSystem, RpsBuilder, SystemValidationError};

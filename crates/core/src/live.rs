@@ -47,12 +47,12 @@ use crate::chase::{ChaseEngine, FiringMode, RpsChaseStats, UniversalSolution};
 use crate::error::RpsError;
 use crate::peer::PeerId;
 use crate::session::{
-    canonical_plan_key, stream_vars, AnswerStream, EngineConfig, ExecRoute, PlanCache, Strategy,
-    DEFAULT_PLAN_CACHE_CAPACITY,
+    canonical_plan_key, stream_vars, AnswerStream, EngineConfig, ExecConfig, MaterialisedPlan,
+    PlanCache, Strategy, DEFAULT_PLAN_CACHE_CAPACITY,
 };
 use crate::sparql::PreparedSparql;
 use crate::system::{scoped_term, RdfPeerSystem};
-use rps_query::{GraphPatternQuery, PreparedQueryIds, Semantics, SparqlResult};
+use rps_query::{GraphPatternQuery, Semantics, SparqlResult};
 use rps_rdf::{IdTriple, Term, Triple};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -103,7 +103,7 @@ struct EpochSnapshot {
     /// Per-epoch plan cache: compiled id-level plans are only valid
     /// against the dictionary of the graph they were compiled for, so
     /// the cache is scoped to the snapshot and dies with it.
-    plans: Mutex<PlanCache<PreparedQueryIds>>,
+    plans: Mutex<PlanCache<MaterialisedPlan>>,
 }
 
 /// State shared between the writer and all readers: the current
@@ -160,9 +160,12 @@ impl LiveSession {
     /// plans execute.
     pub fn open_with_retention(
         system: RdfPeerSystem,
-        config: EngineConfig,
+        mut config: EngineConfig,
         retain: u32,
     ) -> Result<Self, RpsError> {
+        // Readers copy the execution knobs; resolve the worker count
+        // once, here, so no read asks the host.
+        config.exec = config.exec.with_resolved_workers();
         system.validate().map_err(RpsError::Validation)?;
         match config.strategy {
             Strategy::Materialise | Strategy::Auto => {}
@@ -323,6 +326,7 @@ impl LiveSession {
         LiveReader {
             shared: Arc::clone(&self.shared),
             semantics: self.config.semantics,
+            exec: self.config.exec,
         }
     }
 
@@ -372,6 +376,10 @@ fn scoped_id(engine: &mut ChaseEngine, idx: usize, triple: &Triple) -> IdTriple 
 pub struct LiveReader {
     shared: Arc<LiveShared>,
     semantics: Semantics,
+    /// The session's execution knobs (worker count resolved at open):
+    /// reads compile and run exactly like the materialised route of the
+    /// other sessions.
+    exec: ExecConfig,
 }
 
 impl LiveReader {
@@ -423,14 +431,11 @@ impl LiveReader {
     ) -> Result<LivePlan, RpsError> {
         let key = canonical_plan_key(query);
         let compile = || {
-            Ok(PreparedQueryIds::compile_only(
-                &snapshot.solution.graph,
-                query,
-            ))
+            let solution = snapshot.solution.clone();
+            Ok(MaterialisedPlan::compile(solution, query, self.exec.order))
         };
         PlanCache::get_or_compile(&snapshot.plans, key, compile).map(|plan| LivePlan {
             epoch: snapshot.epoch,
-            solution: snapshot.solution.clone(),
             plan,
             vars: stream_vars(query),
             semantics: self.semantics,
@@ -449,13 +454,9 @@ impl LiveReader {
                 current: self.epoch(),
             });
         }
-        let ids = plan.plan.evaluate(&plan.solution.graph, plan.semantics);
-        Ok(AnswerStream::from_ids(
-            plan.vars.clone(),
-            ExecRoute::Materialised,
-            plan.solution.clone(),
-            ids,
-        ))
+        Ok(plan
+            .plan
+            .execute(plan.vars.clone(), plan.semantics, &self.exec))
     }
 
     /// Prepare-and-execute against the current epoch.
@@ -493,8 +494,8 @@ impl LiveReader {
 /// times (on any thread) until the writer's retention floor passes it.
 pub struct LivePlan {
     epoch: u32,
-    solution: Arc<UniversalSolution>,
-    plan: Arc<PreparedQueryIds>,
+    /// The compiled plan, holding the epoch's solution.
+    plan: Arc<MaterialisedPlan>,
     vars: Vec<String>,
     semantics: Semantics,
 }
@@ -609,6 +610,25 @@ mod tests {
         assert_eq!(reader.epoch(), 1);
         let after = reader.answer(&cast_query()).expect("answers").into_set();
         assert_eq!(after.len(), before.len() + 1);
+    }
+
+    /// Live reads run through the materialised executor and honour the
+    /// session's `ExecConfig`: one-tuple morsels over a multi-tuple
+    /// driver scan dispatch morsels to workers.
+    #[test]
+    fn live_reads_honour_exec_config() {
+        let exec = ExecConfig {
+            workers: 4,
+            morsel_size: 1,
+            ..ExecConfig::default()
+        };
+        let config = EngineConfig::default().with_exec(exec);
+        let live = LiveSession::open(existential_system(), config).expect("opens");
+        let before = live.solution().graph.storage_stats().morsels_dispatched;
+        let answers = live.reader().answer(&cast_query()).expect("answers");
+        assert_eq!(answers.len(), 2);
+        let after = live.solution().graph.storage_stats().morsels_dispatched;
+        assert!(after > before, "no morsels dispatched: {before} → {after}");
     }
 
     #[test]

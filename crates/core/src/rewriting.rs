@@ -5,7 +5,9 @@
 //! own simplification), classifies them (Proposition 2: linear / sticky /
 //! sticky-join sets admit a perfect UCQ rewriting), expands the query
 //! with the `rps-tgd` rewriting engine, and evaluates the union directly
-//! over the stored database.
+//! over the stored database: each branch compiles to an id-level plan
+//! over the canonical stored graph (`evaluate_branches` is the one
+//! evaluator every route uses).
 //!
 //! It also implements the Example 3 / Listing 2 procedure literally:
 //! deciding whether a tuple is a certain answer by substituting it into
@@ -13,25 +15,24 @@
 //! and evaluating that over the sources.
 
 use crate::answers::AnswerSet;
-use crate::encode::{
-    encode_system, graph_as_tt, graph_as_tt_mapped, query_to_cq, DataExchange, Encoder,
-};
+use crate::encode::{encode_system, query_to_cq, DataExchange, Encoder};
 use crate::system::RdfPeerSystem;
 use rps_query::{
-    GraphPattern, GraphPatternQuery, PlanSlot, PreparedQueryIds, TermOrVar, UnionQuery, Variable,
+    GraphPattern, GraphPatternQuery, PlanSlot, PreparedQueryIds, Semantics, TermOrVar, UnionQuery,
+    Variable,
 };
 use rps_rdf::{Graph, Term, TermId};
 use rps_tgd::{AtomArg, Classification, Cq, IdArg, IdCq, IdTgdSet, Instance, RewriteConfig, Tgd};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-/// Which instance dictionary a rewriting's id-CQs were interned against
-/// (ids are only meaningful relative to their dictionary).
+/// Which dictionary a rewriting's id-CQs were interned against (ids are
+/// only meaningful relative to their dictionary).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub(crate) enum RewriteSpace {
-    /// The canonical stored database (`rewrite_canonical`).
+    /// The canonical route's (`rewrite_canonical`).
     Canon,
-    /// The raw stored database (`rewrite`, the paper-verbatim route).
+    /// The paper-verbatim route's (`rewrite`).
     Pure,
 }
 
@@ -42,10 +43,10 @@ pub struct RpsRewriting {
     /// display / federation form of `id_cqs`).
     pub cqs: Vec<Cq>,
     /// The id-level union the engine actually produced and evaluates
-    /// (empty for the retained naive oracle path, which falls back to
-    /// string-level evaluation).
+    /// (empty for the retained naive oracle path, whose `cqs`
+    /// [`RpsRewriter::evaluate_canonical`] interns first).
     pub(crate) id_cqs: Vec<IdCq>,
-    /// Which of the rewriter's instances minted `id_cqs`' ids.
+    /// Which of the rewriter's dictionaries minted `id_cqs`' ids.
     pub(crate) space: RewriteSpace,
     /// `true` iff the expansion reached a fixpoint — together with an
     /// FO-rewritable classification this makes the union perfect.
@@ -133,7 +134,7 @@ impl RpsRewriting {
 /// `rps_query` plan plus the head template interleaving projected
 /// variables with constants the rewriting specialised. Crate-internal:
 /// the plans' term ids are only meaningful against the rewriter's
-/// canonical graph, so `Session` is the one consumer.
+/// canonical graph.
 pub(crate) struct RewrittenBranch {
     /// The prepared id-level plan (evaluated against
     /// [`RpsRewriter::canon_graph`]).
@@ -142,6 +143,51 @@ pub(crate) struct RewrittenBranch {
     /// the next projected variable of a result tuple, `Some(term)`
     /// injects a constant.
     pub(crate) head: Vec<Option<Term>>,
+}
+
+/// Evaluates compiled UCQ branches over the canonical graph they were
+/// compiled against and returns the union's certain tuples, before
+/// expansion over the equivalence classes. The one rewriting evaluator:
+/// every session route and the [`RpsRewriter`] answer methods run
+/// through it. All-variable-head branches (the common shape) union at
+/// the id level first, so cross-branch duplicates are dropped before
+/// any term is decoded; only branches whose head injects a
+/// rewriting-specialised constant decode per distinct branch row.
+pub(crate) fn evaluate_branches(
+    graph: &Graph,
+    branches: &[RewrittenBranch],
+    workers: usize,
+    morsel_size: usize,
+) -> BTreeSet<Vec<Term>> {
+    let mut id_union: BTreeSet<Vec<TermId>> = BTreeSet::new();
+    let mut tuples: BTreeSet<Vec<Term>> = BTreeSet::new();
+    for branch in branches {
+        let rows = branch
+            .plan
+            .evaluate_parallel(graph, Semantics::Certain, workers, morsel_size);
+        if branch.head.iter().all(Option::is_none) {
+            id_union.extend(rows);
+            continue;
+        }
+        for row in rows {
+            let mut vals = row.into_iter();
+            let tuple: Vec<Term> = branch
+                .head
+                .iter()
+                .map(|slot| match slot {
+                    Some(term) => term.clone(),
+                    None => graph
+                        .term(vals.next().expect("one id per projected position"))
+                        .clone(),
+                })
+                .collect();
+            tuples.insert(tuple);
+        }
+    }
+    for row in id_union {
+        tuples.insert(row.iter().map(|&id| graph.term(id).clone()).collect());
+    }
+    tuples
 }
 
 /// Decodes a relational CQ over `tt` into an RDF graph pattern.
@@ -185,45 +231,68 @@ pub fn cq_to_pattern(cq: &Cq, encoder: &Encoder) -> Option<GraphPattern> {
 ///   stored database are canonicalised, only the graph-mapping TGDs are
 ///   rewritten, and answers are expanded back over the classes. Property
 ///   tests establish both routes agree with the chase.
+///
+/// Rewritings are evaluated over the canonical stored graph only: each
+/// id-CQ branch compiles to an id-level plan over it. The two relational
+/// instances are dictionaries for the id-level rewriting engine and hold
+/// no facts.
 pub struct RpsRewriter {
-    exchange: DataExchange,
+    encoder: Encoder,
     /// Full TGD set for the pure route (GMA + equivalence TGDs).
     tgds: Vec<Tgd>,
-    /// The stored database loaded as `tt` facts.
-    stored_tt: Instance,
+    /// The pure route's dictionary (predicates and values its id-CQs
+    /// use).
+    pure_dict: Instance,
     classification: Classification,
     /// Union-find over the system's equivalence mappings.
     index: crate::equivalence::EquivalenceIndex,
     /// Canonicalised graph-mapping TGDs (combined route).
     canon_gma_tgds: Vec<Tgd>,
-    /// The canonicalised stored database as `tt` facts.
-    canon_stored_tt: Instance,
+    /// The canonical route's dictionary: its values resolve to
+    /// `canon_graph` term ids through `val_to_term`.
+    canon_dict: Instance,
     /// The canonicalised stored database as an RDF graph — the
     /// evaluation substrate for [`Self::compile_branches`] plans.
     /// `Arc`-shared and sealed at build time so compiled plans (and the
     /// frozen sessions of `rps-core`/`rps-p2p`) can evaluate against it
     /// concurrently without holding the rewriter.
     canon_graph: Arc<Graph>,
-    /// `canon_stored_tt` value id → `canon_graph` term id, seeded from
-    /// the encoding pass and extended lazily for query constants.
+    /// `canon_dict` value id → `canon_graph` term id, resolved lazily
+    /// on first use.
     val_to_term: Vec<Option<TermId>>,
+    /// The names (IRIs and literals) of the stored database: the
+    /// candidate constants of [`Self::certain_answers_via_boolean`].
+    names: Vec<Term>,
     /// The canonical GMA TGDs compiled for id-level rewriting (built on
-    /// first use; ids live in `canon_stored_tt`'s dictionaries).
+    /// first use; ids live in `canon_dict`).
     canon_tgds_id: Option<IdTgdSet>,
     /// The full TGD set compiled for the pure route (ids live in
-    /// `stored_tt`'s dictionaries).
+    /// `pure_dict`).
     pure_tgds_id: Option<IdTgdSet>,
 }
 
 impl RpsRewriter {
     /// Builds a rewriter from a system.
     pub fn new(system: &RdfPeerSystem) -> Self {
-        let mut exchange = encode_system(system);
-        let mut tgds = exchange.mapping_tgds_unguarded.clone();
-        tgds.extend(exchange.equivalence_tgds.clone());
+        let DataExchange {
+            mut encoder,
+            mapping_tgds_unguarded: mut tgds,
+            equivalence_tgds,
+            ..
+        } = encode_system(system);
+        tgds.extend(equivalence_tgds);
         let classification = Classification::of(&tgds);
         let stored = system.stored_database();
-        let stored_tt = graph_as_tt(&stored, &mut exchange.encoder);
+        let mut used = vec![false; stored.dict().len()];
+        for t in stored.iter_ids() {
+            for id in [t.s, t.p, t.o] {
+                used[id.index()] = true;
+            }
+        }
+        let names: Vec<Term> = (0..used.len())
+            .filter(|&i| used[i] && stored.dict().is_name(TermId(i as u32)))
+            .map(|i| stored.term(TermId(i as u32)).clone())
+            .collect();
 
         let index = crate::equivalence::EquivalenceIndex::from_mappings(system.equivalences());
         let canon_gma_tgds: Vec<Tgd> = system
@@ -232,34 +301,25 @@ impl RpsRewriter {
             .map(|gma| {
                 let premise = crate::equivalence::canonicalize_query(&gma.premise, &index);
                 let conclusion = crate::equivalence::canonicalize_query(&gma.conclusion, &index);
-                crate::encode::gma_tgd_unguarded(&premise, &conclusion, &mut exchange.encoder)
+                crate::encode::gma_tgd_unguarded(&premise, &conclusion, &mut encoder)
             })
             .collect();
         let mut canon_graph = crate::equivalence::canonicalize_graph(&stored, &index);
         // The canonical graph never changes after this point: seal it so
         // branch-plan scans merge immutable runs only.
         canon_graph.seal();
-        let (canon_stored_tt, term_to_val) =
-            graph_as_tt_mapped(&canon_graph, &mut exchange.encoder);
-        // Invert the encoding map so id-CQ values translate to graph
-        // term ids by array lookup.
-        let mut val_to_term = vec![None; canon_stored_tt.values().len()];
-        for (ti, val) in term_to_val.iter().enumerate() {
-            if let Some(v) = val {
-                val_to_term[v.index()] = Some(TermId(ti as u32));
-            }
-        }
 
         RpsRewriter {
-            exchange,
+            encoder,
             tgds,
-            stored_tt,
+            pure_dict: Instance::new(),
             classification,
             index,
             canon_gma_tgds,
-            canon_stored_tt,
+            canon_dict: Instance::new(),
             canon_graph: Arc::new(canon_graph),
-            val_to_term,
+            val_to_term: Vec::new(),
+            names,
             canon_tgds_id: None,
             pure_tgds_id: None,
         }
@@ -271,7 +331,7 @@ impl RpsRewriter {
     }
 
     /// The shared id-level pipeline behind both routes: compile the TGD
-    /// set into `cache` on first use, intern the query against `inst`,
+    /// set into `cache` on first use, intern the query against `dict`,
     /// run the pruned id-level expansion, and decode the union once.
     /// An associated function (not a method) so callers can hand in
     /// disjoint field borrows.
@@ -280,15 +340,13 @@ impl RpsRewriter {
         cfg: &RewriteConfig,
         space: RewriteSpace,
         tgd_src: &[Tgd],
-        inst: &mut Instance,
+        dict: &mut Instance,
         cache: &mut Option<IdTgdSet>,
     ) -> RpsRewriting {
-        if cache.is_none() {
-            *cache = Some(IdTgdSet::compile(tgd_src, inst));
-        }
-        let id_query = rps_tgd::intern_cq(cq, inst);
-        let r = rps_tgd::rewrite_ids(&id_query, cache.as_ref().expect("just compiled"), cfg);
-        let cqs: Vec<Cq> = r.cqs.iter().map(|c| rps_tgd::decode_cq(c, inst)).collect();
+        let tgds = cache.get_or_insert_with(|| IdTgdSet::compile(tgd_src, dict));
+        let id_query = rps_tgd::intern_cq(cq, dict);
+        let r = rps_tgd::rewrite_ids(&id_query, tgds, cfg);
+        let cqs: Vec<Cq> = r.cqs.iter().map(|c| rps_tgd::decode_cq(c, dict)).collect();
         RpsRewriting {
             cqs,
             id_cqs: r.cqs,
@@ -303,8 +361,8 @@ impl RpsRewriter {
     /// compiled once, the query is interned, the expansion runs on
     /// numbered-variable CQs, and the emitted union is
     /// subsumption-pruned. Evaluate over the canonical stored database
-    /// with [`Self::evaluate_canonical`] (which hands the id-CQs
-    /// straight to the id-level evaluator) and expand answers with
+    /// with [`Self::evaluate_canonical`] (which compiles the id-CQs
+    /// straight into branch plans) and expand answers with
     /// [`crate::equivalence::expand_answers`].
     pub fn rewrite_canonical(
         &mut self,
@@ -312,13 +370,13 @@ impl RpsRewriter {
         cfg: &RewriteConfig,
     ) -> RpsRewriting {
         let canon_query = crate::equivalence::canonicalize_query(query, &self.index);
-        let cq = query_to_cq(&canon_query, &mut self.exchange.encoder, false);
+        let cq = query_to_cq(&canon_query, &mut self.encoder, false);
         Self::rewrite_in_space(
             &cq,
             cfg,
             RewriteSpace::Canon,
             &self.canon_gma_tgds,
-            &mut self.canon_stored_tt,
+            &mut self.canon_dict,
             &mut self.canon_tgds_id,
         )
     }
@@ -334,7 +392,7 @@ impl RpsRewriter {
         cfg: &RewriteConfig,
     ) -> RpsRewriting {
         let canon_query = crate::equivalence::canonicalize_query(query, &self.index);
-        let cq = query_to_cq(&canon_query, &mut self.exchange.encoder, false);
+        let cq = query_to_cq(&canon_query, &mut self.encoder, false);
         let r = rps_tgd::naive::rewrite(&cq, &self.canon_gma_tgds, cfg);
         RpsRewriting {
             cqs: r.cqs,
@@ -358,52 +416,47 @@ impl RpsRewriter {
 
     /// The encoder (for decoding rewritings and answers).
     pub fn encoder(&self) -> &Encoder {
-        &self.exchange.encoder
+        &self.encoder
     }
 
     /// Rewrites a graph pattern query into a UCQ over the sources — the
     /// paper-verbatim route, under the *full* dependency set (graph
     /// mappings + equivalence TGDs). Runs on the id-level engine like
-    /// [`Self::rewrite_canonical`], with ids minted against the raw
-    /// stored database.
+    /// [`Self::rewrite_canonical`], with ids minted in the pure route's
+    /// own dictionary.
     pub fn rewrite(&mut self, query: &GraphPatternQuery, cfg: &RewriteConfig) -> RpsRewriting {
-        let cq = query_to_cq(query, &mut self.exchange.encoder, false);
+        let cq = query_to_cq(query, &mut self.encoder, false);
         Self::rewrite_in_space(
             &cq,
             cfg,
             RewriteSpace::Pure,
             &self.tgds,
-            &mut self.stored_tt,
+            &mut self.pure_dict,
             &mut self.pure_tgds_id,
         )
     }
 
-    /// Evaluates a previously-computed *canonical* rewriting (see
-    /// [`Self::rewrite_canonical`]) over the canonical stored database,
-    /// decoding the relational tuples and expanding them back over the
-    /// equivalence classes. Rewrite once, evaluate repeatedly. Id-level
-    /// rewritings evaluate without any string round-trip — only the
-    /// distinct answer ids are decoded; the naive-oracle path (no
-    /// id-CQs) falls back to string-level evaluation.
-    pub fn evaluate_canonical(&self, rewriting: &RpsRewriting) -> BTreeSet<Vec<Term>> {
-        let enc = &self.exchange.encoder;
-        let decoded: BTreeSet<Vec<Term>> =
-            if rewriting.space == RewriteSpace::Canon && !rewriting.id_cqs.is_empty() {
-                rps_tgd::evaluate_union_ids(&rewriting.id_cqs, &self.canon_stored_tt)
-                    .iter()
-                    .map(|row| {
-                        row.iter()
-                            .map(|&v| enc.decode(self.canon_stored_tt.values().value(v)))
-                            .collect()
-                    })
-                    .collect()
-            } else {
-                rps_tgd::evaluate_union(&rewriting.cqs, &self.canon_stored_tt)
-                    .iter()
-                    .map(|row| row.iter().map(|g| enc.decode(g)).collect())
-                    .collect()
-            };
-        crate::equivalence::expand_answers(&decoded, &self.index)
+    /// Evaluates a previously-computed rewriting over the canonical
+    /// stored database and expands the answers back over the
+    /// equivalence classes. Rewrite once, evaluate repeatedly. A
+    /// canonical id-level union compiles straight into branch plans; a
+    /// union without canonical id-CQs (the naive oracle's) is interned
+    /// into the canonical dictionary first, then takes the same path.
+    pub fn evaluate_canonical(&mut self, rewriting: &RpsRewriting) -> BTreeSet<Vec<Term>> {
+        let interned: Vec<IdCq>;
+        let id_cqs = if rewriting.space == RewriteSpace::Canon && !rewriting.id_cqs.is_empty() {
+            &rewriting.id_cqs
+        } else {
+            interned = rewriting
+                .cqs
+                .iter()
+                .map(|cq| rps_tgd::intern_cq(cq, &mut self.canon_dict))
+                .collect();
+            &interned
+        };
+        let branches = self.compile_branches(id_cqs);
+        let tuples = evaluate_branches(&self.canon_graph, &branches, 1, 1);
+        crate::equivalence::expand_answers(&tuples, &self.index)
     }
 
     /// The canonicalised stored database as an RDF graph — the substrate
@@ -428,48 +481,41 @@ impl RpsRewriter {
         if self.canon_tgds_id.is_none() {
             self.canon_tgds_id = Some(IdTgdSet::compile(
                 &self.canon_gma_tgds,
-                &mut self.canon_stored_tt,
+                &mut self.canon_dict,
             ));
         }
     }
 
-    /// Translates a `canon_stored_tt` value id to the canonical graph's
-    /// term id. Seeded by the encoding pass; values interned later
-    /// (query constants) resolve lazily — `None` means the value does
-    /// not occur in the stored data at all.
+    /// Translates a `canon_dict` value id to the canonical graph's term
+    /// id, decoding the value once and caching the hit; `None` means
+    /// the value does not occur in the stored data at all.
     fn term_of_val(&mut self, v: rps_tgd::ValId) -> Option<TermId> {
-        if self.val_to_term.len() < self.canon_stored_tt.values().len() {
+        if self.val_to_term.len() <= v.index() {
             self.val_to_term
-                .resize(self.canon_stored_tt.values().len(), None);
+                .resize(self.canon_dict.values().len(), None);
         }
         if let Some(t) = self.val_to_term[v.index()] {
             return Some(t);
         }
-        let term = self
-            .exchange
-            .encoder
-            .decode(self.canon_stored_tt.values().value(v));
+        let term = self.encoder.decode(self.canon_dict.values().value(v));
         let tid = self.canon_graph.term_id(&term);
-        if let Some(t) = tid {
-            self.val_to_term[v.index()] = Some(t);
-        }
+        self.val_to_term[v.index()] = tid;
         tid
     }
 
-    /// Compiles a canonical rewriting's id-CQ branches into prepared
+    /// Compiles canonical id-CQ branches into prepared
     /// [`rps_query::PreparedQueryIds`] plans over the canonical stored
     /// graph. Branch bodies are `tt/3` atoms by construction, so each
     /// maps positionally onto triple-pattern conjuncts; values translate
-    /// to term ids through the table built while encoding the graph —
-    /// no CQ is decoded and no term re-interned on the way. Branches
-    /// whose head was specialised to a labelled null are dropped (no
-    /// certain tuple can come from them); branches mentioning values
-    /// absent from the stored data compile to unsatisfiable plans.
-    pub(crate) fn compile_branches(&mut self, rewriting: &RpsRewriting) -> Vec<RewrittenBranch> {
-        debug_assert_eq!(rewriting.space, RewriteSpace::Canon);
-        let tt = self.canon_stored_tt.pred_id("tt");
-        let mut out = Vec::with_capacity(rewriting.id_cqs.len());
-        'branches: for cq in &rewriting.id_cqs {
+    /// to term ids through `val_to_term` — no CQ is decoded and no term
+    /// re-interned on the way. Branches whose head was specialised to a
+    /// labelled null are dropped (no certain tuple can come from them);
+    /// branches mentioning values absent from the stored data compile
+    /// to unsatisfiable plans.
+    pub(crate) fn compile_branches(&mut self, id_cqs: &[IdCq]) -> Vec<RewrittenBranch> {
+        let tt = self.canon_dict.pred_id("tt");
+        let mut out = Vec::with_capacity(id_cqs.len());
+        'branches: for cq in id_cqs {
             let nvars = (cq.nvars() as usize).max(1);
             let mut satisfiable = true;
             let mut conjuncts: Vec<[PlanSlot; 3]> = Vec::with_capacity(cq.body.len());
@@ -513,11 +559,11 @@ impl RpsRewriter {
                         head.push(None);
                     }
                     IdArg::Const(c) => {
-                        let g = self.canon_stored_tt.values().value(*c);
+                        let g = self.canon_dict.values().value(*c);
                         if g.is_null() {
                             continue 'branches; // never a certain answer
                         }
-                        head.push(Some(self.exchange.encoder.decode(g)));
+                        head.push(Some(self.encoder.decode(g)));
                     }
                 }
             }
@@ -555,7 +601,8 @@ impl RpsRewriter {
     /// The Example 3 decision procedure: is `tuple` a certain answer of
     /// `query`? Substitutes the tuple into the free variables, rewrites
     /// the resulting Boolean query, and evaluates the UNION of ASKs over
-    /// the stored database (Listing 2).
+    /// the stored database (Listing 2), stopping at the first branch
+    /// with a match.
     pub fn is_certain_answer(
         &mut self,
         query: &GraphPatternQuery,
@@ -568,19 +615,14 @@ impl RpsRewriter {
         let subst = |v: &Variable| -> Option<Term> {
             free.iter().position(|f| f == v).map(|i| tuple[i].clone())
         };
-        let canon_query = crate::equivalence::canonicalize_query(query, &self.index);
-        let bound = canon_query.pattern().substitute(&subst);
-        let boolean = GraphPatternQuery::boolean(bound);
-        let cq = query_to_cq(&boolean, &mut self.exchange.encoder, false);
-        let r = Self::rewrite_in_space(
-            &cq,
-            cfg,
-            RewriteSpace::Canon,
-            &self.canon_gma_tgds,
-            &mut self.canon_stored_tt,
-            &mut self.canon_tgds_id,
-        );
-        rps_tgd::union_has_answer(&r.id_cqs, &self.canon_stored_tt)
+        let boolean = GraphPatternQuery::boolean(query.pattern().substitute(&subst));
+        let rewriting = self.rewrite_canonical(&boolean, cfg);
+        let branches = self.compile_branches(&rewriting.id_cqs);
+        branches.iter().any(|branch| {
+            branch
+                .plan
+                .has_answer(&self.canon_graph, Semantics::Certain)
+        })
     }
 
     /// The full Example 3 pipeline: enumerate all candidate tuples of
@@ -594,16 +636,7 @@ impl RpsRewriter {
         cfg: &RewriteConfig,
         max_candidates: usize,
     ) -> Option<AnswerSet> {
-        // Candidate constants: all names (IRIs and literals) in the
-        // stored database, decoded from the tt instance.
-        let names: Vec<Term> = {
-            let enc = &self.exchange.encoder;
-            self.stored_tt
-                .constants()
-                .iter()
-                .map(|c| enc.decode(&rps_tgd::GroundTerm::Const(c.clone())))
-                .collect()
-        };
+        let names = self.names.clone();
         let arity = query.arity();
         let total = names.len().checked_pow(arity as u32)?;
         if total > max_candidates {

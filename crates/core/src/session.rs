@@ -77,7 +77,7 @@ use crate::chase::{chase_system, RpsChaseConfig, UniversalSolution};
 use crate::datalog_route::DatalogEngine;
 use crate::equivalence::EquivalenceIndex;
 use crate::error::RpsError;
-use crate::rewriting::{RewrittenBranch, RpsRewriter};
+use crate::rewriting::{evaluate_branches, RewrittenBranch, RpsRewriter};
 use crate::system::RdfPeerSystem;
 use rps_query::{GraphPatternQuery, JoinOrder, PreparedQueryIds, Semantics};
 use rps_rdf::{Graph, SealConfig, Term, TermId};
@@ -262,6 +262,14 @@ impl ExecConfig {
             .unwrap_or(1)
     }
 
+    /// This configuration with `workers` resolved (see
+    /// [`Self::resolved_workers`]). Sessions resolve once, when they
+    /// open or freeze, so no execute asks the host again.
+    pub(crate) fn with_resolved_workers(mut self) -> Self {
+        self.workers = self.resolved_workers();
+        self
+    }
+
     /// The shard count after the `RPS_SHARDS` override and resolving
     /// `0` to available parallelism.
     pub fn resolved_shards(&self) -> usize {
@@ -296,15 +304,51 @@ impl ExecConfig {
     }
 }
 
+/// An id-level plan against a materialised universal solution: the
+/// materialised route of [`Session`] and [`crate::FrozenSession`], and
+/// every [`crate::LiveReader`] read. Holding the solution here makes
+/// repeated execution and lazy answer decoding independent of the
+/// session's own cache.
+pub(crate) struct MaterialisedPlan {
+    solution: Arc<UniversalSolution>,
+    plan: PreparedQueryIds,
+}
+
+impl MaterialisedPlan {
+    /// Compiles `query` against the solution. The solution is frozen,
+    /// so the plan compiles without interning (unknown constants are
+    /// simply unsatisfiable).
+    pub(crate) fn compile(
+        solution: Arc<UniversalSolution>,
+        query: &GraphPatternQuery,
+        order: JoinOrder,
+    ) -> Self {
+        let plan = PreparedQueryIds::compile_only_with(&solution.graph, query, order);
+        MaterialisedPlan { solution, plan }
+    }
+
+    /// Runs the plan morsel-parallel under `exec` (whose worker count
+    /// is already resolved) and streams its tuples, decoded lazily.
+    pub(crate) fn execute(
+        &self,
+        vars: Vec<String>,
+        semantics: Semantics,
+        exec: &ExecConfig,
+    ) -> AnswerStream {
+        let ids = self.plan.evaluate_parallel(
+            &self.solution.graph,
+            semantics,
+            exec.workers,
+            exec.morsel_size,
+        );
+        AnswerStream::from_ids(vars, ExecRoute::Materialised, self.solution.clone(), ids)
+    }
+}
+
 /// The compiled execution plan of a [`PreparedQuery`].
 enum Plan {
-    /// Id-level plan against a (frozen) universal solution. Holding the
-    /// solution here makes repeated execution and lazy answer decoding
-    /// independent of the session's own cache.
-    Materialised {
-        solution: Arc<UniversalSolution>,
-        plan: PreparedQueryIds,
-    },
+    /// Id-level plan against a (frozen) universal solution.
+    Materialised(MaterialisedPlan),
     /// A complete canonical UCQ rewriting, compiled once into id-level
     /// branch plans over the rewriter's canonical stored graph (no
     /// per-execution pattern decoding or term re-interning). The sealed
@@ -319,18 +363,6 @@ enum Plan {
 }
 
 impl Plan {
-    /// An id-level plan against a materialised solution. The solution is
-    /// frozen, so the plan compiles against it without interning
-    /// (unknown constants are simply unsatisfiable).
-    fn materialised(
-        solution: Arc<UniversalSolution>,
-        query: &GraphPatternQuery,
-        order: JoinOrder,
-    ) -> Self {
-        let plan = PreparedQueryIds::compile_only_with(&solution.graph, query, order);
-        Plan::Materialised { solution, plan }
-    }
-
     /// A canonical UCQ rewriting compiled into branch plans, or the
     /// typed [`RpsError::RewriteBudget`] when the expansion exhausts
     /// `budgets` (an incomplete rewriting is unsound to trust).
@@ -348,9 +380,48 @@ impl Plan {
             });
         }
         Ok(Plan::Rewritten {
-            branches: rewriter.compile_branches(&rewriting),
+            branches: rewriter.compile_branches(&rewriting.id_cqs),
             graph: rewriter.canon_graph_arc(),
         })
+    }
+}
+
+/// What compiling a query needs from a session: identity,
+/// configuration and the substrates of the three routes. [`Session`]
+/// builds the substrates lazily, on first use; a frozen session built
+/// them at freeze and only hands them out.
+trait CompileState {
+    /// The (session id, configuration generation) plans are stamped with.
+    fn owner(&self) -> (u64, u32);
+    /// The configuration plans compile under.
+    fn config(&self) -> &EngineConfig;
+    /// Whether Proposition 2 guarantees a perfect rewriting.
+    fn fo_rewritable(&mut self) -> bool;
+    /// The complete universal solution, or `None` when the state has
+    /// none and cannot build one.
+    fn solution(&mut self) -> Result<Option<Arc<UniversalSolution>>, RpsError>;
+    /// `query`'s rewriting compiled into branch plans.
+    fn rewritten(&mut self, query: &GraphPatternQuery) -> Result<Plan, RpsError>;
+    /// Makes the Datalog engine ready to answer.
+    fn prepare_datalog(&mut self) -> Result<(), RpsError>;
+}
+
+/// The route a fresh preparation takes under `strategy` and
+/// `semantics`; `fo_rewritable` is only asked under
+/// [`Strategy::Auto`].
+fn resolve_route(
+    strategy: Strategy,
+    semantics: Semantics,
+    fo_rewritable: impl FnOnce() -> bool,
+) -> Result<ExecRoute, RpsError> {
+    let star = semantics == Semantics::Star;
+    match strategy {
+        Strategy::Materialise => Ok(ExecRoute::Materialised),
+        Strategy::Rewrite | Strategy::Datalog if star => Err(RpsError::StarNeedsMaterialisation),
+        Strategy::Rewrite => Ok(ExecRoute::Rewritten),
+        Strategy::Datalog => Ok(ExecRoute::Datalog),
+        Strategy::Auto if !star && fo_rewritable() => Ok(ExecRoute::Rewritten),
+        Strategy::Auto => Ok(ExecRoute::Materialised),
     }
 }
 
@@ -374,6 +445,57 @@ pub struct PreparedQuery {
 }
 
 impl PreparedQuery {
+    /// The one compile behind [`Session::prepare`] and
+    /// [`crate::FrozenSession::prepare`].
+    ///
+    /// An incomplete rewriting (budget exhaustion, non-FO-rewritable
+    /// mappings) is unsound to trust. Under the explicit
+    /// [`Strategy::Rewrite`] it is reported as the typed
+    /// [`RpsError::RewriteBudget`]; under [`Strategy::Auto`] preparation
+    /// falls back to the materialised route (which is exact) when the
+    /// state has a solution, and records the fact on
+    /// [`PreparedQuery::rewrite_fell_back`].
+    fn compile(state: &mut impl CompileState, query: &GraphPatternQuery) -> Result<Self, RpsError> {
+        let (strategy, semantics, order) = {
+            let config = state.config();
+            (config.strategy, config.semantics, config.exec.order)
+        };
+        let materialised = |solution: Option<Arc<UniversalSolution>>| {
+            let solution = solution.expect("a materialised route has a solution");
+            Plan::Materialised(MaterialisedPlan::compile(solution, query, order))
+        };
+        let route = resolve_route(strategy, semantics, || state.fo_rewritable())?;
+        let (route, rewrite_fell_back, plan) = match route {
+            ExecRoute::Materialised | ExecRoute::Federated => (
+                ExecRoute::Materialised,
+                false,
+                materialised(state.solution()?),
+            ),
+            ExecRoute::Rewritten => match state.rewritten(query) {
+                Ok(plan) => (ExecRoute::Rewritten, false, plan),
+                Err(err) if strategy == Strategy::Rewrite => return Err(err),
+                Err(err) => match state.solution()? {
+                    Some(solution) => (ExecRoute::Materialised, true, materialised(Some(solution))),
+                    None => return Err(err),
+                },
+            },
+            ExecRoute::Datalog => {
+                state.prepare_datalog()?;
+                (ExecRoute::Datalog, false, Plan::Datalog)
+            }
+        };
+        let (session_id, generation) = state.owner();
+        Ok(PreparedQuery {
+            session_id,
+            generation,
+            query: query.clone(),
+            route,
+            semantics,
+            rewrite_fell_back,
+            plan,
+        })
+    }
+
     /// The route this query will execute through.
     pub fn route(&self) -> ExecRoute {
         self.route
@@ -531,15 +653,34 @@ impl ExactSizeIterator for AnswerStream {}
 /// A process-unique token identifying the session a prepared query was
 /// compiled against. Compiled plans are only meaningful relative to
 /// their session's caches and dictionaries, so execution on a different
-/// session is rejected with [`RpsError::SessionMismatch`].
-pub(crate) fn next_session_id() -> u64 {
+/// session is rejected with [`RpsError::SessionMismatch`]. Shared by
+/// every session kind, the federated ones in `rps-p2p` included.
+pub fn next_session_id() -> u64 {
     use std::sync::atomic::{AtomicU64, Ordering};
     static NEXT: AtomicU64 = AtomicU64::new(0);
     NEXT.fetch_add(1, Ordering::Relaxed)
 }
 
+/// Checks that a plan stamped `prepared` = (session id, configuration
+/// generation) may execute on the session `owner`:
+/// [`RpsError::SessionMismatch`] for another session's plan,
+/// [`RpsError::StalePlan`] for one compiled under an older
+/// configuration.
+pub fn check_owner(prepared: (u64, u32), owner: (u64, u32)) -> Result<(), RpsError> {
+    if prepared.0 != owner.0 {
+        return Err(RpsError::SessionMismatch);
+    }
+    if prepared.1 != owner.1 {
+        return Err(RpsError::StalePlan {
+            prepared: prepared.1,
+            current: owner.1,
+        });
+    }
+    Ok(())
+}
+
 /// The projection variable names of a query, in tuple order.
-pub(crate) fn stream_vars(query: &GraphPatternQuery) -> Vec<String> {
+pub fn stream_vars(query: &GraphPatternQuery) -> Vec<String> {
     query
         .free_vars()
         .iter()
@@ -554,7 +695,7 @@ pub(crate) fn stream_vars(query: &GraphPatternQuery) -> Vec<String> {
 /// index — so both the mutable [`Session`] and the shared
 /// [`crate::FrozenSession`] route through here (the latter concurrently
 /// from many threads); the Datalog route answers through `datalog`,
-/// the caller's engine.
+/// the caller's engine. `exec`'s worker count is already resolved.
 pub(crate) fn execute_plan(
     prepared: &PreparedQuery,
     owner: (u64, u32),
@@ -562,71 +703,12 @@ pub(crate) fn execute_plan(
     exec: &ExecConfig,
     datalog: impl FnOnce(&GraphPatternQuery) -> AnswerSet,
 ) -> Result<AnswerStream, RpsError> {
-    let (session_id, generation) = owner;
-    if prepared.session_id != session_id {
-        return Err(RpsError::SessionMismatch);
-    }
-    if prepared.generation != generation {
-        return Err(RpsError::StalePlan {
-            prepared: prepared.generation,
-            current: generation,
-        });
-    }
+    check_owner((prepared.session_id, prepared.generation), owner)?;
     let vars = stream_vars(&prepared.query);
-    let workers = exec.resolved_workers();
     match &prepared.plan {
-        Plan::Materialised { solution, plan } => {
-            let ids = plan.evaluate_parallel(
-                &solution.graph,
-                prepared.semantics,
-                workers,
-                exec.morsel_size,
-            );
-            Ok(AnswerStream::from_ids(
-                vars,
-                ExecRoute::Materialised,
-                solution.clone(),
-                ids,
-            ))
-        }
+        Plan::Materialised(plan) => Ok(plan.execute(vars, prepared.semantics, exec)),
         Plan::Rewritten { graph, branches } => {
-            // Each branch is a prepared id-level plan over the sealed
-            // canonical stored graph. All-variable-head branches (the
-            // common shape) union at the id level first, so cross-branch
-            // duplicates are deduplicated before any term is decoded;
-            // only branches whose head injects a rewriting-specialised
-            // constant decode per distinct branch row.
-            let mut id_union: BTreeSet<Vec<TermId>> = BTreeSet::new();
-            let mut tuples: BTreeSet<Vec<Term>> = BTreeSet::new();
-            for branch in branches {
-                let rows = branch.plan.evaluate_parallel(
-                    graph,
-                    Semantics::Certain,
-                    workers,
-                    exec.morsel_size,
-                );
-                if branch.head.iter().all(Option::is_none) {
-                    id_union.extend(rows);
-                    continue;
-                }
-                for row in rows {
-                    let mut vals = row.into_iter();
-                    let tuple: Vec<Term> = branch
-                        .head
-                        .iter()
-                        .map(|slot| match slot {
-                            Some(term) => term.clone(),
-                            None => graph
-                                .term(vals.next().expect("one id per projected position"))
-                                .clone(),
-                        })
-                        .collect();
-                    tuples.insert(tuple);
-                }
-            }
-            for row in id_union {
-                tuples.insert(row.iter().map(|&id| graph.term(id).clone()).collect());
-            }
+            let tuples = evaluate_branches(graph, branches, exec.workers, exec.morsel_size);
             let expanded = crate::equivalence::expand_answers(&tuples, eq_index);
             Ok(AnswerStream::from_terms(
                 vars,
@@ -666,6 +748,9 @@ pub struct Session {
     solution_budgets: Option<RpsChaseConfig>,
     rewriter: Option<RpsRewriter>,
     datalog: Option<DatalogEngine>,
+    /// `config.exec` with the worker count resolved, on first execute;
+    /// cleared by [`Session::config_mut`].
+    exec: Option<ExecConfig>,
 }
 
 impl Session {
@@ -691,6 +776,7 @@ impl Session {
             solution_budgets: None,
             rewriter: None,
             datalog: None,
+            exec: None,
         }
     }
 
@@ -712,6 +798,7 @@ impl Session {
     /// long-standing footgun. Re-prepare after reconfiguring.
     pub fn config_mut(&mut self) -> &mut EngineConfig {
         self.generation += 1;
+        self.exec = None;
         &mut self.config
     }
 
@@ -764,30 +851,6 @@ impl Session {
         self.rewriter.as_mut().expect("just built")
     }
 
-    /// Resolves the route a fresh preparation of a query would take.
-    fn resolve_route(&mut self) -> Result<ExecRoute, RpsError> {
-        let star = self.config.semantics == Semantics::Star;
-        match self.config.strategy {
-            Strategy::Materialise => Ok(ExecRoute::Materialised),
-            Strategy::Rewrite if star => Err(RpsError::StarNeedsMaterialisation),
-            Strategy::Datalog if star => Err(RpsError::StarNeedsMaterialisation),
-            Strategy::Rewrite => Ok(ExecRoute::Rewritten),
-            Strategy::Datalog => Ok(ExecRoute::Datalog),
-            Strategy::Auto => {
-                if !star && self.rewriter_mut().fo_rewritable() {
-                    Ok(ExecRoute::Rewritten)
-                } else {
-                    Ok(ExecRoute::Materialised)
-                }
-            }
-        }
-    }
-
-    fn prepare_materialised(&mut self, query: &GraphPatternQuery) -> Result<Plan, RpsError> {
-        let solution = self.universal_solution()?;
-        Ok(Plan::materialised(solution, query, self.config.exec.order))
-    }
-
     /// Compiles a query once — route resolution, canonical UCQ rewriting
     /// (id-level, subsumption-pruned) and per-branch plan compilation
     /// over the canonical stored graph, or an id-level plan against the
@@ -801,41 +864,7 @@ impl Session {
     /// falls back to the materialised route (which is exact) and records
     /// the fact on [`PreparedQuery::rewrite_fell_back`].
     pub fn prepare(&mut self, query: &GraphPatternQuery) -> Result<PreparedQuery, RpsError> {
-        let route = self.resolve_route()?;
-        let (route, rewrite_fell_back, plan) = match route {
-            ExecRoute::Materialised | ExecRoute::Federated => (
-                ExecRoute::Materialised,
-                false,
-                self.prepare_materialised(query)?,
-            ),
-            ExecRoute::Rewritten => {
-                let budgets = self.config.rewrite.clone();
-                match Plan::rewritten(self.rewriter_mut(), query, &budgets) {
-                    Ok(plan) => (ExecRoute::Rewritten, false, plan),
-                    Err(err) if self.config.strategy == Strategy::Rewrite => return Err(err),
-                    Err(_) => (
-                        ExecRoute::Materialised,
-                        true,
-                        self.prepare_materialised(query)?,
-                    ),
-                }
-            }
-            ExecRoute::Datalog => {
-                if self.datalog.is_none() {
-                    self.datalog = Some(DatalogEngine::new(&self.system)?);
-                }
-                (ExecRoute::Datalog, false, Plan::Datalog)
-            }
-        };
-        Ok(PreparedQuery {
-            session_id: self.id,
-            generation: self.generation,
-            query: query.clone(),
-            route,
-            semantics: self.config.semantics,
-            rewrite_fell_back,
-            plan,
-        })
+        PreparedQuery::compile(self, query)
     }
 
     /// Executes a prepared query, returning a streaming answer iterator.
@@ -845,16 +874,13 @@ impl Session {
     /// [`Session::config_mut`] call — re-prepare first).
     pub fn execute(&mut self, prepared: &PreparedQuery) -> Result<AnswerStream, RpsError> {
         let owner = (self.id, self.generation);
-        execute_plan(
-            prepared,
-            owner,
-            &self.eq_index,
-            &self.config.exec,
-            |query| {
-                let engine = self.datalog.as_mut().expect("datalog built at prepare");
-                engine.answers(query)
-            },
-        )
+        let exec = *self
+            .exec
+            .get_or_insert_with(|| self.config.exec.with_resolved_workers());
+        execute_plan(prepared, owner, &self.eq_index, &exec, |query| {
+            let engine = self.datalog.as_mut().expect("datalog built at prepare");
+            engine.answers(query)
+        })
     }
 
     /// Prepares and executes in one call. Prefer [`Session::prepare`] +
@@ -891,6 +917,36 @@ impl Session {
         }
         let cfg = self.config.rewrite.clone();
         Ok(self.rewriter_mut().is_certain_answer(query, tuple, &cfg))
+    }
+}
+
+impl CompileState for Session {
+    fn owner(&self) -> (u64, u32) {
+        (self.id, self.generation)
+    }
+
+    fn config(&self) -> &EngineConfig {
+        &self.config
+    }
+
+    fn fo_rewritable(&mut self) -> bool {
+        self.rewriter_mut().fo_rewritable()
+    }
+
+    fn solution(&mut self) -> Result<Option<Arc<UniversalSolution>>, RpsError> {
+        self.universal_solution().map(Some)
+    }
+
+    fn rewritten(&mut self, query: &GraphPatternQuery) -> Result<Plan, RpsError> {
+        let budgets = self.config.rewrite.clone();
+        Plan::rewritten(self.rewriter_mut(), query, &budgets)
+    }
+
+    fn prepare_datalog(&mut self) -> Result<(), RpsError> {
+        if self.datalog.is_none() {
+            self.datalog = Some(DatalogEngine::new(&self.system)?);
+        }
+        Ok(())
     }
 }
 

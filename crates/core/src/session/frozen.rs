@@ -71,8 +71,8 @@
 //! ```
 
 use super::{
-    execute_plan, next_session_id, AnswerStream, EngineConfig, ExecRoute, Plan, PreparedQuery,
-    Session, Strategy,
+    execute_plan, next_session_id, resolve_route, AnswerStream, CompileState, EngineConfig,
+    ExecConfig, ExecRoute, Plan, PreparedQuery, Session, Strategy,
 };
 use crate::chase::{RpsChaseStats, UniversalSolution};
 use crate::datalog_route::DatalogEngine;
@@ -247,6 +247,8 @@ struct FrozenInner {
     id: u64,
     generation: u32,
     config: EngineConfig,
+    /// `config.exec` with the worker count resolved at freeze (or open).
+    exec: ExecConfig,
     eq_index: EquivalenceIndex,
     /// Captured at freeze so route resolution never takes the compile
     /// lock.
@@ -380,6 +382,7 @@ impl Session {
             inner: Arc::new(FrozenInner {
                 id: self.id,
                 generation: self.generation,
+                exec: self.config.exec.with_resolved_workers(),
                 config: self.config,
                 eq_index: self.eq_index,
                 fo_rewritable,
@@ -425,75 +428,7 @@ impl FrozenSession {
     /// tuples are identical for every member of the class.
     pub fn prepare(&self, query: &GraphPatternQuery) -> Result<Arc<PreparedQuery>, RpsError> {
         PlanCache::get_or_compile(&self.inner.cache, canonical_plan_key(query), || {
-            self.compile(query)
-        })
-    }
-
-    /// Route resolution without the compile lock (the FO-rewritability
-    /// verdict was captured at freeze).
-    fn resolve_route(&self) -> ExecRoute {
-        let star = self.inner.config.semantics == Semantics::Star;
-        match self.inner.config.strategy {
-            Strategy::Materialise => ExecRoute::Materialised,
-            Strategy::Rewrite => ExecRoute::Rewritten,
-            Strategy::Datalog => ExecRoute::Datalog,
-            Strategy::Auto => {
-                if !star && self.inner.fo_rewritable {
-                    ExecRoute::Rewritten
-                } else {
-                    ExecRoute::Materialised
-                }
-            }
-        }
-    }
-
-    fn compile(&self, query: &GraphPatternQuery) -> Result<PreparedQuery, RpsError> {
-        let inner = &*self.inner;
-        let materialised = |rewrite_fell_back: bool| {
-            let solution = inner
-                .solution
-                .as_ref()
-                .expect("freeze materialised the solution for this route")
-                .clone();
-            let plan = Plan::materialised(solution, query, inner.config.exec.order);
-            (ExecRoute::Materialised, rewrite_fell_back, plan)
-        };
-        let (route, rewrite_fell_back, plan) = match self.resolve_route() {
-            ExecRoute::Materialised | ExecRoute::Federated => materialised(false),
-            ExecRoute::Datalog => (ExecRoute::Datalog, false, Plan::Datalog),
-            ExecRoute::Rewritten => {
-                let compiler = inner
-                    .compiler
-                    .as_ref()
-                    .expect("freeze built the rewriter for this route");
-                let rewritten = Plan::rewritten(
-                    &mut compiler.lock().unwrap_or_else(PoisonError::into_inner),
-                    query,
-                    &inner.config.rewrite,
-                );
-                match rewritten {
-                    Ok(plan) => (ExecRoute::Rewritten, false, plan),
-                    // Explicit Rewrite reports the typed error; Auto can
-                    // only fall back if a (complete) solution was frozen
-                    // in — a frozen session cannot start a chase.
-                    Err(err)
-                        if inner.config.strategy == Strategy::Rewrite
-                            || inner.solution.is_none() =>
-                    {
-                        return Err(err)
-                    }
-                    Err(_) => materialised(true),
-                }
-            }
-        };
-        Ok(PreparedQuery {
-            session_id: inner.id,
-            generation: inner.generation,
-            query: query.clone(),
-            route,
-            semantics: inner.config.semantics,
-            rewrite_fell_back,
-            plan,
+            PreparedQuery::compile(&mut &*self.inner, query)
         })
     }
 
@@ -508,20 +443,14 @@ impl FrozenSession {
     pub fn execute(&self, prepared: &PreparedQuery) -> Result<AnswerStream, RpsError> {
         let inner = &*self.inner;
         let owner = (inner.id, inner.generation);
-        execute_plan(
-            prepared,
-            owner,
-            &inner.eq_index,
-            &inner.config.exec,
-            |query| {
-                let datalog = inner.datalog.as_ref();
-                let engine = datalog.expect("freeze built the Datalog engine for this route");
-                engine
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .answers(query)
-            },
-        )
+        execute_plan(prepared, owner, &inner.eq_index, &inner.exec, |query| {
+            let datalog = inner.datalog.as_ref();
+            let engine = datalog.expect("freeze built the Datalog engine for this route");
+            engine
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .answers(query)
+        })
     }
 
     /// Prepares (or fetches from the plan cache) and executes in one
@@ -560,7 +489,8 @@ impl FrozenSession {
     /// serves **byte-identical** answer tuples in identical order.
     pub fn persist(&self, dir: impl AsRef<Path>) -> Result<(), RpsError> {
         let dir = dir.as_ref();
-        let route = self.resolve_route();
+        let cfg = &self.inner.config;
+        let route = resolve_route(cfg.strategy, cfg.semantics, || self.inner.fo_rewritable)?;
         if route != ExecRoute::Materialised {
             return Err(RpsError::Persist {
                 detail: format!(
@@ -581,7 +511,6 @@ impl FrozenSession {
         solution.graph.persist(dir.join("solution"))?;
 
         let mut text = String::from("RPS-SESSION v1\n");
-        let cfg = &self.inner.config;
         let semantics = match cfg.semantics {
             Semantics::Certain => "certain",
             Semantics::Star => "star",
@@ -735,6 +664,7 @@ impl FrozenSession {
             inner: Arc::new(FrozenInner {
                 id: next_session_id(),
                 generation: 0,
+                exec: config.exec.with_resolved_workers(),
                 config,
                 eq_index: EquivalenceIndex::from_mappings(&mappings),
                 fo_rewritable: false,
@@ -748,6 +678,41 @@ impl FrozenSession {
                 cache: Mutex::new(PlanCache::new(DEFAULT_PLAN_CACHE_CAPACITY)),
             }),
         })
+    }
+}
+
+/// A frozen session compiles against what freeze built: the sealed
+/// solution, the rewriter behind its compile lock and the saturated
+/// Datalog engine. Nothing is built here.
+impl CompileState for &FrozenInner {
+    fn owner(&self) -> (u64, u32) {
+        (self.id, self.generation)
+    }
+
+    fn config(&self) -> &EngineConfig {
+        &self.config
+    }
+
+    fn fo_rewritable(&mut self) -> bool {
+        self.fo_rewritable
+    }
+
+    fn solution(&mut self) -> Result<Option<Arc<UniversalSolution>>, RpsError> {
+        Ok(self.solution.clone())
+    }
+
+    fn rewritten(&mut self, query: &GraphPatternQuery) -> Result<Plan, RpsError> {
+        let compiler = self.compiler.as_ref();
+        let compiler = compiler.expect("freeze built the rewriter for this route");
+        Plan::rewritten(
+            &mut compiler.lock().unwrap_or_else(PoisonError::into_inner),
+            query,
+            &self.config.rewrite,
+        )
+    }
+
+    fn prepare_datalog(&mut self) -> Result<(), RpsError> {
+        Ok(())
     }
 }
 

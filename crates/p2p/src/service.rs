@@ -19,8 +19,9 @@ use crate::federation::{FederatedEngine, FederationReport, FederationStats, Prep
 use crate::network::{CostModel, SimNetwork};
 use crate::transport::{SimTransport, Transport};
 use rps_core::{
-    canonical_plan_key, AnswerStream, EngineConfig, EquivalenceIndex, ExecRoute, PlanCache,
-    PlanCacheStats, PreparedSparql, RdfPeerSystem, RpsError, RpsRewriter,
+    canonical_plan_key, check_owner, next_session_id, stream_vars, AnswerStream, EngineConfig,
+    EquivalenceIndex, ExecRoute, PlanCache, PlanCacheStats, PreparedSparql, RdfPeerSystem,
+    RpsError, RpsRewriter,
 };
 use rps_query::{GraphPatternQuery, Semantics, SparqlResult};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -140,15 +141,10 @@ impl FedCore {
         prepared: &PreparedFederatedQuery,
         max_threads: usize,
     ) -> Result<FederatedAnswer, RpsError> {
-        if prepared.session_id != self.id {
-            return Err(RpsError::SessionMismatch);
-        }
-        if prepared.generation != self.generation {
-            return Err(RpsError::StalePlan {
-                prepared: prepared.generation,
-                current: self.generation,
-            });
-        }
+        check_owner(
+            (prepared.session_id, prepared.generation),
+            (self.id, self.generation),
+        )?;
         let mut net = SimNetwork::new();
         let (canon_ids, stats, report) = self.engine.execute_parallel_with(
             &prepared.prepared,
@@ -161,12 +157,7 @@ impl FedCore {
         )?;
         let canon_tuples = self.engine.decode_prepared(&prepared.prepared, &canon_ids);
         let tuples = rps_core::expand_answers(&canon_tuples, &self.eq_index);
-        let vars = prepared
-            .query
-            .free_vars()
-            .iter()
-            .map(|v| v.name().to_string())
-            .collect();
+        let vars = stream_vars(&prepared.query);
         Ok(FederatedAnswer {
             stream: AnswerStream::from_terms(vars, ExecRoute::Federated, tuples),
             branches: prepared.branches,
@@ -183,14 +174,6 @@ impl FedCore {
 pub struct FederatedSession {
     core: FedCore,
     rewriter: RpsRewriter,
-}
-
-/// Process-unique federated-session ids (see
-/// [`PreparedFederatedQuery`]'s session-binding contract).
-fn next_session_id() -> u64 {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    static NEXT: AtomicU64 = AtomicU64::new(0);
-    NEXT.fetch_add(1, Ordering::Relaxed)
 }
 
 impl FederatedSession {
@@ -322,6 +305,7 @@ impl FederatedSession {
         self.rewriter.precompile_canonical();
         Ok(FrozenFederatedSession {
             inner: Arc::new(FrozenFedInner {
+                threads: self.core.config.exec.resolved_workers(),
                 fo_rewritable: self.rewriter.fo_rewritable(),
                 core: self.core,
                 compiler: Mutex::new(self.rewriter),
@@ -334,6 +318,9 @@ impl FederatedSession {
 /// The shared state behind every clone of a [`FrozenFederatedSession`].
 struct FrozenFedInner {
     core: FedCore,
+    /// The branch fan-out bound of [`FrozenFederatedSession::execute`]:
+    /// the configured worker count, resolved at freeze.
+    threads: usize,
     fo_rewritable: bool,
     /// The rewriting compile state — held only while preparing a query
     /// that missed the plan cache. Its lazily built state is assigned
@@ -406,11 +393,10 @@ impl FrozenFederatedSession {
 
     /// Executes a prepared query with the branch fan-out spread over up
     /// to [`ExecConfig::resolved_workers`](rps_core::ExecConfig) OS
-    /// threads. Accepts queries prepared by this frozen session or by
-    /// the mutable session it was frozen from.
+    /// threads (resolved once, at freeze). Accepts queries prepared by
+    /// this frozen session or by the mutable session it was frozen from.
     pub fn execute(&self, prepared: &PreparedFederatedQuery) -> Result<FederatedAnswer, RpsError> {
-        let threads = self.inner.core.config.exec.resolved_workers();
-        self.execute_with_threads(prepared, threads)
+        self.execute_with_threads(prepared, self.inner.threads)
     }
 
     /// [`FrozenFederatedSession::execute`] with an explicit worker-thread

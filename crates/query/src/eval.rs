@@ -664,6 +664,22 @@ impl PreparedQueryIds {
         out
     }
 
+    /// `true` iff [`Self::evaluate`] would return at least one tuple.
+    /// Stops at the first one: the early exit of Boolean (ASK-shaped)
+    /// plans.
+    pub fn has_answer(&self, graph: &Graph, semantics: Semantics) -> bool {
+        let Some(proj) = self.proj.as_ref().filter(|_| self.compiled.satisfiable) else {
+            return false;
+        };
+        let mut binding: Vec<Option<TermId>> = vec![None; self.compiled.vars.len()];
+        let mut out = BTreeSet::new();
+        search(graph, &self.compiled.slots, 0, &mut binding, &mut |b| {
+            project_into(graph, proj, b, semantics, &mut out);
+            out.is_empty()
+        });
+        !out.is_empty()
+    }
+
     /// Morsel-driven parallel evaluation: byte-identical to
     /// [`Self::evaluate`], but the first (planner-ordered) conjunct's
     /// candidate scan is materialised and split into fixed-size

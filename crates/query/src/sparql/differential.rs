@@ -14,10 +14,10 @@
 //! Seeds come from `RPS_SPARQL_TAIL_SEED` (comma-separated `u64`s) when
 //! set, otherwise from a fixed default list.
 //!
-//! The literal vocabulary keeps every non-numeric literal outside the
-//! lexical range of the numerals (no language-tagged numerals, no
-//! `"1a"`): for such literals the ORDER BY comparator is not a total
-//! order, so no tail has a single correct answer to agree on.
+//! The literal vocabulary mixes numerals with non-numeric literals that
+//! sort lexically among them (`"1a"`, the language-tagged `"10"@en`),
+//! and every seed must sort a column holding both kinds: the ORDER BY
+//! comparator has to be a total order over such columns.
 
 use super::reference;
 use super::{parse_sparql, IdRows, LoweredSparql, SparqlResult};
@@ -73,7 +73,9 @@ const SUBJECTS: &[&str] = &["e:s0", "e:s1", "e:s2", "e:s3", "_:b0", "_:b1"];
 const PREDICATES: &[&str] = &["e:p", "e:q"];
 /// Numerals come in classes of distinct terms with one value (`"9"`,
 /// `"09"`, `"9"^^xsd:integer`; `"10"`, `"010"`, `"10.0"`; `"1"`,
-/// `"01"`), so id equality and numeric equality part ways often.
+/// `"01"`), so id equality and numeric equality part ways often. The
+/// non-numeric literals include two that sort lexically among the
+/// numerals (`"1a"`, `"10"@en`).
 const LITERALS: &[&str] = &[
     "\"9\"",
     "\"09\"",
@@ -88,6 +90,9 @@ const LITERALS: &[&str] = &[
     "\"a\"",
     "\"b\"",
     "\"b\"@en",
+    "\"1a\"",
+    "\"10\"@en",
+    "\"x9\"",
 ];
 const VARS: &[&str] = &["?x", "?y", "?z", "?w", "?v"];
 
@@ -287,6 +292,8 @@ struct Coverage {
     /// ASK answered true, and false.
     ask_true: usize,
     ask_false: usize,
+    /// An ORDER BY key column holding numeric and non-numeric terms.
+    mixed_sort: usize,
 }
 
 impl Coverage {
@@ -316,6 +323,20 @@ impl Coverage {
                 usize::from(!lowered.order_by.is_empty() && limit > 0 && all > offset + limit);
         }
         self.offset_past_end += usize::from(lowered.offset.is_some() && offset >= all && all > 0);
+        let columns = rows.vars.clone();
+        let mixed = lowered.order_by.iter().any(|key| {
+            let Some(col) = columns.iter().position(|v| *v == key.var.name()) else {
+                return false;
+            };
+            let kinds: BTreeSet<bool> = rows
+                .rows
+                .iter()
+                .filter_map(|row| row[col].as_ref())
+                .map(|t| reference::numeric(t).is_some())
+                .collect();
+            kinds.len() == 2
+        });
+        self.mixed_sort += usize::from(mixed);
         let unbound = rows.rows.iter().flatten().any(Option::is_none);
         self.union_unbound += usize::from(lowered.branches.len() > 1 && unbound);
         let mut cursor = 0;
@@ -351,6 +372,7 @@ impl Coverage {
             ("UNION with an unbound cell", self.union_unbound),
             ("ASK true", self.ask_true),
             ("ASK false", self.ask_false),
+            ("ORDER BY over a mixed numeric column", self.mixed_sort),
         ] {
             assert!(met > 0, "seed {seed}: no round covered {shape}: {self:?}");
         }

@@ -631,8 +631,9 @@ pub(crate) fn assemble<T: TermSource + ?Sized>(
         projected.rows().filter(|row| seen.insert(*row)).collect()
     };
 
-    // ORDER BY keys: unbound first, then numeric, then term order; ties
-    // fall through to the next key and finally to the whole row in term
+    // ORDER BY keys, by class: unbound first, then numeric terms (by
+    // value, then term order), then every other bound term (term
+    // order) — a total order even over mixed columns. Ties fall through to the next key and finally to the whole row in term
     // order. Without ORDER BY the whole-row order alone gives the
     // canonical order. Numeric values are parsed once per row and key.
     let numbers: Vec<Option<f64>> = distinct
@@ -654,8 +655,10 @@ pub(crate) fn assemble<T: TermSource + ?Sized>(
                 (true, false) => Ordering::Less,
                 (false, true) => Ordering::Greater,
                 (false, false) => match (numbers[a * keys + k], numbers[b * keys + k]) {
-                    (Some(na), Some(nb)) => na.partial_cmp(&nb).unwrap_or(Ordering::Equal),
-                    _ => Ordering::Equal,
+                    (Some(na), Some(nb)) => na.total_cmp(&nb),
+                    (Some(_), None) => Ordering::Less,
+                    (None, Some(_)) => Ordering::Greater,
+                    (None, None) => Ordering::Equal,
                 }
                 .then_with(|| id_cmp(ra[col], rb[col], terms)),
             };

@@ -65,7 +65,7 @@ fn left_join(rows: BTreeSet<Row>, extensions: &BTreeSet<Row>) -> BTreeSet<Row> {
 /// any non-language-tagged literal whose lexical form parses as a
 /// finite float counts (covering the engine's `xsd:integer` literals
 /// and plain digit strings alike).
-fn numeric(term: &Term) -> Option<f64> {
+pub(super) fn numeric(term: &Term) -> Option<f64> {
     let Term::Literal(lit) = term else {
         return None;
     };
@@ -151,9 +151,9 @@ fn eval_filter(expr: &FilterExpr, row: &Row) -> bool {
     eval_filter_tri(expr, row) == Some(true)
 }
 
-/// The ORDER BY comparator for one key: unbound sorts before bound;
-/// two numerics compare numerically; anything else falls back to the
-/// total term order. Ties fall through to the next key, and finally to
+/// The ORDER BY comparator for one key, by class: unbound first, then
+/// numeric terms (by value, then term order), then every other bound
+/// term (term order). Ties fall through to the next key, and finally to
 /// the whole projected row, so the output order is always total and
 /// deterministic.
 fn key_cmp(a: Option<&Term>, b: Option<&Term>) -> Ordering {
@@ -162,11 +162,13 @@ fn key_cmp(a: Option<&Term>, b: Option<&Term>) -> Ordering {
         (None, Some(_)) => Ordering::Less,
         (Some(_), None) => Ordering::Greater,
         (Some(ta), Some(tb)) => {
-            let by_number = match (numeric(ta), numeric(tb)) {
-                (Some(na), Some(nb)) => na.partial_cmp(&nb).unwrap_or(Ordering::Equal),
-                _ => Ordering::Equal,
+            let by_class = match (numeric(ta), numeric(tb)) {
+                (Some(na), Some(nb)) => na.total_cmp(&nb),
+                (Some(_), None) => Ordering::Less,
+                (None, Some(_)) => Ordering::Greater,
+                (None, None) => Ordering::Equal,
             };
-            by_number.then_with(|| ta.cmp(tb))
+            by_class.then_with(|| ta.cmp(tb))
         }
     }
 }

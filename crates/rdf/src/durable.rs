@@ -3,8 +3,8 @@
 //! This module ties together the three `store` submodules —
 //! [`page`](crate::store::page) (checksummed fixed-size pages),
 //! [`wal`](crate::store::wal) (the write-ahead log) and
-//! [`disk`](crate::store::disk) (paged runs, the buffer pool, dictionary
-//! segments and the manifest) — into the two graph-level operations
+//! [`disk`](crate::store::disk) (paged run files, dictionary segments
+//! and the manifest) — into the two graph-level operations
 //! [`Graph::persist`] and [`Graph::open`], plus [`DurableGraph`], a
 //! write-through handle that logs every mutation to the WAL as it
 //! happens so state since the last checkpoint survives a crash.
@@ -51,8 +51,8 @@ use crate::dict::{TermDict, TermId};
 use crate::error::RdfError;
 use crate::graph::{DurCounters, Graph};
 use crate::store::disk::{
-    read_dict_segment, write_dict_segment, write_run_file, BufferPool, DictSegmentMeta, Manifest,
-    PagedRun, RunMeta, MANIFEST_NAME,
+    read_dict_segment, read_run_file, write_dict_segment, write_run_file, DictSegmentMeta,
+    Manifest, RunMeta, MANIFEST_NAME,
 };
 use crate::store::page::KEYS_PER_PAGE;
 use crate::store::wal::{read_wal, WalRecord, WalWriter};
@@ -61,11 +61,6 @@ use crate::term::Term;
 use crate::triple::IdTriple;
 use std::fs;
 use std::path::{Path, PathBuf};
-
-/// Frames in the buffer pool used while opening a graph — 256 pages
-/// (1 MiB) is plenty for the sequential validation scan, and recovery
-/// still works (slowly) with far fewer.
-const OPEN_POOL_FRAMES: usize = 256;
 
 const PERM_NAMES: [&str; 3] = ["spo", "pos", "osp"];
 
@@ -249,25 +244,19 @@ fn open_graph_inner(dir: &Path) -> Result<(Graph, Manifest, u64), RdfError> {
         }
     }
 
-    // Runs: read every page through the buffer pool (verifying
-    // checksums), then re-validate the structural invariants the store
-    // relies on.
-    let mut pool = BufferPool::new(OPEN_POOL_FRAMES);
+    // Runs: read each file in one verified sequential pass, then
+    // re-validate the structural invariants the store relies on.
+    let dur = DurCounters::default();
     let mut images: [Vec<Vec<[u32; 3]>>; 3] = [Vec::new(), Vec::new(), Vec::new()];
     for (perm_idx, metas) in manifest.runs.iter().enumerate() {
         for meta in metas {
-            let run = PagedRun::open(&mut pool, &dir.join(&meta.name), meta.keys)?;
-            images[perm_idx].push(run.read_all(&mut pool)?);
+            let (keys, pages) = read_run_file(&dir.join(&meta.name), meta.keys)?;
+            DurCounters::add(&dur.pages_read, pages);
+            images[perm_idx].push(keys);
         }
     }
     let store = TripleStore::from_runs(images, dict.len() as u32)
         .map_err(|detail| RdfError::corrupt(&dirname, detail))?;
-
-    let dur = DurCounters::default();
-    let counters = pool.counters();
-    DurCounters::add(&dur.pages_read, counters.pages_read);
-    DurCounters::add(&dur.pool_hits, counters.hits);
-    DurCounters::add(&dur.pool_misses, counters.misses);
 
     let mut graph = Graph::from_recovered(dict, store, dur);
 

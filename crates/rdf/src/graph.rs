@@ -119,8 +119,6 @@ pub struct Graph {
 pub(crate) struct DurCounters {
     pub(crate) pages_written: AtomicU64,
     pub(crate) pages_read: AtomicU64,
-    pub(crate) pool_hits: AtomicU64,
-    pub(crate) pool_misses: AtomicU64,
     pub(crate) wal_bytes: AtomicU64,
     pub(crate) wal_replayed: AtomicU64,
 }
@@ -131,8 +129,6 @@ impl Clone for DurCounters {
         DurCounters {
             pages_written: ld(&self.pages_written),
             pages_read: ld(&self.pages_read),
-            pool_hits: ld(&self.pool_hits),
-            pool_misses: ld(&self.pool_misses),
             wal_bytes: ld(&self.wal_bytes),
             wal_replayed: ld(&self.wal_replayed),
         }
@@ -147,8 +143,6 @@ impl DurCounters {
     fn merge_into(&self, stats: &mut StorageStats) {
         stats.pages_written = self.pages_written.load(Ordering::Relaxed);
         stats.pages_read = self.pages_read.load(Ordering::Relaxed);
-        stats.pool_hits = self.pool_hits.load(Ordering::Relaxed);
-        stats.pool_misses = self.pool_misses.load(Ordering::Relaxed);
         stats.wal_bytes = self.wal_bytes.load(Ordering::Relaxed);
         stats.wal_replayed = self.wal_replayed.load(Ordering::Relaxed);
     }
@@ -236,8 +230,8 @@ impl Graph {
     }
 
     /// Physical counters of the storage layer (run/tail/tombstone sizes
-    /// plus the durability counters — pages read/written, buffer-pool
-    /// hits/misses, WAL bytes, replayed records). For tests and
+    /// plus the durability counters — pages read/written, WAL bytes,
+    /// replayed records). For tests and
     /// benchmarks; the run counters are zero for the B-tree backend and
     /// the durability counters are zero until the graph touches the
     /// durable tier.
@@ -357,8 +351,8 @@ impl Graph {
     }
 
     /// Opens a graph previously checkpointed by [`Graph::persist`]:
-    /// loads the manifest, validates and reads the run pages through a
-    /// buffer pool, rebuilds the dictionary from its segments, replays
+    /// loads the manifest, reads and validates each run file in one
+    /// sequential pass, rebuilds the dictionary from its segments, replays
     /// the write-ahead log into the mutable tail, and reconstructs the
     /// in-memory point-lookup set and insertion log. A torn WAL tail is
     /// discarded cleanly; everything else that fails validation is a

@@ -190,13 +190,8 @@ pub struct StorageStats {
     /// Pages written by `Graph::persist` checkpoints over this graph's
     /// lifetime (0 until the graph touches the durable tier).
     pub pages_written: u64,
-    /// Pages physically read through the buffer pool while opening or
-    /// scanning persisted state.
+    /// Run-file pages read while opening persisted state.
     pub pages_read: u64,
-    /// Buffer-pool pins served from a resident frame.
-    pub pool_hits: u64,
-    /// Buffer-pool pins that had to read from disk.
-    pub pool_misses: u64,
     /// Bytes appended to the write-ahead log (frames + magic).
     pub wal_bytes: u64,
     /// WAL records replayed into the tail during recovery.

@@ -1,5 +1,4 @@
-//! Paged run files, the buffer manager, dictionary segments and the
-//! versioned manifest — the on-disk half of the durable storage tier.
+//! Paged run files, dictionary segments and the versioned manifest — the on-disk half of the durable storage tier.
 //!
 //! A persisted graph is a directory:
 //!
@@ -23,19 +22,18 @@
 //! segment covering the terms interned since, because dictionary ids are
 //! dense and append-only.
 //!
-//! The [`BufferPool`] is a classic pin/unpin frame cache with
-//! second-chance (clock) eviction over the page files, counting hits,
-//! misses and physical reads for [`StorageStats`](super::StorageStats).
+//! Opening a graph reads each run file once, front to back
+//! ([`read_run_file`]), verifying every page on the way; the pages read
+//! are counted for [`StorageStats`](super::StorageStats).
 
 use super::page::{
-    self, crc32, crc32_parts, get_str, get_term, get_varint, put_str, put_term, put_varint,
-    KEYS_PER_PAGE, PAGE_SIZE,
+    self, crc32, get_str, get_term, get_varint, put_str, put_term, put_varint, KEYS_PER_PAGE,
+    PAGE_SIZE,
 };
 use crate::error::RdfError;
 use crate::term::Term;
-use std::collections::HashMap;
 use std::fs::{self, File};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{BufReader, Read, Write};
 use std::path::Path;
 
 /// Name of the manifest file inside a persisted graph directory.
@@ -44,289 +42,49 @@ pub const MANIFEST_NAME: &str = "MANIFEST";
 const MANIFEST_MAGIC: [u8; 4] = *b"RMF1";
 const SEG_MAGIC: [u8; 4] = *b"RDS1";
 
-/// A handle to a file registered with a [`BufferPool`].
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct FileId(u32);
-
-/// A pinned frame inside a [`BufferPool`]. The frame stays resident
-/// until [`BufferPool::unpin`] releases it.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct FrameId(usize);
-
-/// Hit/miss/read counters of a [`BufferPool`].
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub struct PoolCounters {
-    /// Pins served from a resident frame.
-    pub hits: u64,
-    /// Pins that had to read the page from disk.
-    pub misses: u64,
-    /// Physical page reads (equals `misses`; kept separate so future
-    /// prefetching can diverge).
-    pub pages_read: u64,
-}
-
-struct Frame {
-    file: u32,
-    page_no: u32,
-    pins: u32,
-    referenced: bool,
-    n_keys: usize,
-    data: Vec<u8>,
-}
-
-struct PoolFile {
-    file: File,
-    pages: u32,
-    name: String,
-}
-
-/// A bounded page cache over registered files: [`BufferPool::pin`]
-/// returns a resident, checksum-verified frame and holds it until
-/// [`BufferPool::unpin`]; at capacity, an unpinned frame is evicted by
-/// the clock (second-chance) policy.
-pub struct BufferPool {
-    frames: Vec<Frame>,
-    map: HashMap<(u32, u32), usize>,
-    files: Vec<PoolFile>,
-    hand: usize,
-    counters: PoolCounters,
-}
-
-impl BufferPool {
-    /// A pool bounded to `capacity` frames (clamped to ≥ 1).
-    pub fn new(capacity: usize) -> Self {
-        BufferPool {
-            frames: Vec::with_capacity(capacity.clamp(1, 4096)),
-            map: HashMap::new(),
-            files: Vec::new(),
-            hand: 0,
-            counters: PoolCounters::default(),
-        }
+/// Reads a whole run file in one sequential pass and verifies it
+/// against the key count its manifest entry promises: the file must be
+/// a whole number of pages, as many as `keys` needs; every page must
+/// carry its own page number and a valid checksum; and the pages
+/// together must hold exactly `keys` keys. Returns the keys in file
+/// order and the number of pages read. Every failed check is
+/// [`RdfError::Corrupt`].
+pub fn read_run_file(path: &Path, keys: u64) -> Result<(Vec<[u32; 3]>, u64), RdfError> {
+    let name = path.display().to_string();
+    let ctx = || format!("read run file {name}");
+    let file = File::open(path).map_err(|e| RdfError::io(ctx(), &e))?;
+    let len = file.metadata().map_err(|e| RdfError::io(ctx(), &e))?.len();
+    if len % PAGE_SIZE as u64 != 0 {
+        return Err(RdfError::corrupt(
+            &name,
+            format!("file length {len} is not a whole number of pages"),
+        ));
     }
-
-    /// Registers a page file for reading. The file length must be a
-    /// whole number of pages.
-    pub fn open_file(&mut self, path: &Path) -> Result<FileId, RdfError> {
-        let name = path.display().to_string();
-        let file =
-            File::open(path).map_err(|e| RdfError::io(format!("open page file {name}"), &e))?;
-        let len = file
-            .metadata()
-            .map_err(|e| RdfError::io(format!("stat page file {name}"), &e))?
-            .len();
-        if len % PAGE_SIZE as u64 != 0 {
-            return Err(RdfError::corrupt(
-                &name,
-                format!("file length {len} is not a whole number of pages"),
-            ));
-        }
-        let id = FileId(self.files.len() as u32);
-        self.files.push(PoolFile {
-            file,
-            pages: (len / PAGE_SIZE as u64) as u32,
-            name,
-        });
-        Ok(id)
+    let pages = len / PAGE_SIZE as u64;
+    let expect_pages = keys.div_ceil(KEYS_PER_PAGE as u64);
+    if pages != expect_pages {
+        return Err(RdfError::corrupt(
+            &name,
+            format!("manifest promises {keys} keys ({expect_pages} pages), file has {pages} pages"),
+        ));
     }
-
-    /// Pages of a registered file.
-    pub fn file_pages(&self, file: FileId) -> u32 {
-        self.files[file.0 as usize].pages
+    let mut reader = BufReader::with_capacity(16 * PAGE_SIZE, file);
+    let mut page = vec![0u8; PAGE_SIZE];
+    let mut out = Vec::with_capacity(keys as usize);
+    for page_no in 0..pages as u32 {
+        reader
+            .read_exact(&mut page)
+            .map_err(|e| RdfError::io(ctx(), &e))?;
+        let n = page::verify_page(page_no, &page).map_err(|d| RdfError::corrupt(&name, d))?;
+        out.extend((0..n).map(|i| page::page_key(&page, i)));
     }
-
-    /// Pins a page into a frame, reading and checksum-verifying it on a
-    /// miss. The frame is not evictable until the matching
-    /// [`BufferPool::unpin`].
-    pub fn pin(&mut self, file: FileId, page_no: u32) -> Result<FrameId, RdfError> {
-        if let Some(&idx) = self.map.get(&(file.0, page_no)) {
-            self.counters.hits += 1;
-            let frame = &mut self.frames[idx];
-            frame.pins += 1;
-            frame.referenced = true;
-            return Ok(FrameId(idx));
-        }
-        self.counters.misses += 1;
-        let idx = self.victim_frame()?;
-        let pf = &mut self.files[file.0 as usize];
-        if page_no >= pf.pages {
-            return Err(RdfError::corrupt(
-                &pf.name,
-                format!("page {page_no} beyond file end ({} pages)", pf.pages),
-            ));
-        }
-        let mut data = std::mem::take(&mut self.frames[idx].data);
-        data.resize(PAGE_SIZE, 0);
-        pf.file
-            .seek(SeekFrom::Start(page_no as u64 * PAGE_SIZE as u64))
-            .and_then(|_| pf.file.read_exact(&mut data))
-            .map_err(|e| RdfError::io(format!("read page {page_no} of {}", pf.name), &e))?;
-        self.counters.pages_read += 1;
-        let n_keys = page::verify_page(page_no, &data)
-            .map_err(|detail| RdfError::corrupt(&pf.name, detail))?;
-        let frame = &mut self.frames[idx];
-        frame.file = file.0;
-        frame.page_no = page_no;
-        frame.pins = 1;
-        frame.referenced = true;
-        frame.n_keys = n_keys;
-        frame.data = data;
-        self.map.insert((file.0, page_no), idx);
-        Ok(FrameId(idx))
+    if out.len() as u64 != keys {
+        return Err(RdfError::corrupt(
+            &name,
+            format!("pages hold {} keys, manifest promises {keys}", out.len()),
+        ));
     }
-
-    /// Releases a pin taken by [`BufferPool::pin`].
-    pub fn unpin(&mut self, frame: FrameId) {
-        let f = &mut self.frames[frame.0];
-        debug_assert!(f.pins > 0, "unpin without a pin");
-        f.pins = f.pins.saturating_sub(1);
-    }
-
-    /// Number of keys in a pinned frame's page.
-    pub fn frame_keys(&self, frame: FrameId) -> usize {
-        self.frames[frame.0].n_keys
-    }
-
-    /// The `i`-th key of a pinned frame's page.
-    pub fn frame_key(&self, frame: FrameId, i: usize) -> [u32; 3] {
-        page::page_key(&self.frames[frame.0].data, i)
-    }
-
-    /// Current hit/miss/read counters.
-    pub fn counters(&self) -> PoolCounters {
-        self.counters
-    }
-
-    /// Finds a frame to (re)use: grows up to capacity, then runs the
-    /// clock hand over unpinned frames, skipping each referenced frame
-    /// once (second chance).
-    fn victim_frame(&mut self) -> Result<usize, RdfError> {
-        if self.frames.len() < self.frames.capacity() {
-            self.frames.push(Frame {
-                file: u32::MAX,
-                page_no: u32::MAX,
-                pins: 0,
-                referenced: false,
-                n_keys: 0,
-                data: Vec::new(),
-            });
-            return Ok(self.frames.len() - 1);
-        }
-        let n = self.frames.len();
-        for _ in 0..2 * n {
-            let idx = self.hand;
-            self.hand = (self.hand + 1) % n;
-            let frame = &mut self.frames[idx];
-            if frame.pins > 0 {
-                continue;
-            }
-            if frame.referenced {
-                frame.referenced = false;
-                continue;
-            }
-            self.map.remove(&(frame.file, frame.page_no));
-            return Ok(idx);
-        }
-        Err(RdfError::Io {
-            context: "allocate buffer-pool frame".into(),
-            kind: std::io::ErrorKind::Other,
-            message: "every frame is pinned; grow the pool or unpin".into(),
-        })
-    }
-}
-
-/// A sorted run resident in a paged file, scanned through a
-/// [`BufferPool`].
-pub struct PagedRun {
-    file: FileId,
-    keys: u64,
-    name: String,
-}
-
-impl PagedRun {
-    /// Opens a run file and validates its page count against the key
-    /// count the manifest promised.
-    pub fn open(pool: &mut BufferPool, path: &Path, keys: u64) -> Result<Self, RdfError> {
-        let file = pool.open_file(path)?;
-        let expect_pages = keys.div_ceil(KEYS_PER_PAGE as u64);
-        if u64::from(pool.file_pages(file)) != expect_pages {
-            return Err(RdfError::corrupt(
-                path.display().to_string(),
-                format!(
-                    "manifest promises {keys} keys ({expect_pages} pages), file has {} pages",
-                    pool.file_pages(file)
-                ),
-            ));
-        }
-        Ok(PagedRun {
-            file,
-            keys,
-            name: path.display().to_string(),
-        })
-    }
-
-    /// Keys in the run.
-    pub fn keys(&self) -> u64 {
-        self.keys
-    }
-
-    /// Reads the whole run into memory, verifying every page.
-    pub fn read_all(&self, pool: &mut BufferPool) -> Result<Vec<[u32; 3]>, RdfError> {
-        let mut out = Vec::with_capacity(self.keys as usize);
-        self.for_each_in_range(pool, [u32::MIN; 3], [u32::MAX; 3], &mut |k| out.push(k))?;
-        if out.len() as u64 != self.keys {
-            return Err(RdfError::corrupt(
-                &self.name,
-                format!(
-                    "pages hold {} keys, manifest promises {}",
-                    out.len(),
-                    self.keys
-                ),
-            ));
-        }
-        Ok(out)
-    }
-
-    /// Streams the keys in `lo..=hi` (inclusive) in key order through
-    /// `f`, pinning one page at a time. Pages wholly before the range
-    /// are skipped after an O(1) look at their last key; the scan stops
-    /// at the first page beyond it.
-    pub fn for_each_in_range(
-        &self,
-        pool: &mut BufferPool,
-        lo: [u32; 3],
-        hi: [u32; 3],
-        f: &mut dyn FnMut([u32; 3]),
-    ) -> Result<(), RdfError> {
-        let pages = pool.file_pages(self.file);
-        for page_no in 0..pages {
-            let frame = pool.pin(self.file, page_no)?;
-            let n = pool.frame_keys(frame);
-            if n == 0 {
-                pool.unpin(frame);
-                continue;
-            }
-            if pool.frame_key(frame, n - 1) < lo {
-                pool.unpin(frame);
-                continue;
-            }
-            if pool.frame_key(frame, 0) > hi {
-                pool.unpin(frame);
-                break;
-            }
-            for i in 0..n {
-                let k = pool.frame_key(frame, i);
-                if k < lo {
-                    continue;
-                }
-                if k > hi {
-                    break;
-                }
-                f(k);
-            }
-            pool.unpin(frame);
-        }
-        Ok(())
-    }
+    Ok((out, pages))
 }
 
 /// Writes a sorted run as checksummed pages, fsyncing the file. Returns
@@ -594,12 +352,6 @@ pub(crate) fn read_dict_segment(
     Ok(terms)
 }
 
-/// Computes the CRC a segment file would have — used when validating
-/// reusable segments during persist.
-pub(crate) fn _segment_crc_of(parts: &[&[u8]]) -> u32 {
-    crc32_parts(parts)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -620,62 +372,10 @@ mod tests {
         let path = dir.join("run.rpg");
         let pages = write_run_file(&path, &keys).unwrap();
         assert_eq!(pages, 3);
-        let mut pool = BufferPool::new(2);
-        let run = PagedRun::open(&mut pool, &path, keys.len() as u64).unwrap();
-        assert_eq!(run.read_all(&mut pool).unwrap(), keys);
-        // Range scan picks exactly the middle slice.
-        let lo = [400, 0, 0];
-        let hi = [500, u32::MAX, u32::MAX];
-        let mut got = Vec::new();
-        run.for_each_in_range(&mut pool, lo, hi, &mut |k| got.push(k))
-            .unwrap();
-        let expect: Vec<[u32; 3]> = keys
-            .iter()
-            .copied()
-            .filter(|k| *k >= lo && *k <= hi)
-            .collect();
-        assert_eq!(got, expect);
-    }
-
-    #[test]
-    fn pool_evicts_with_clock_and_counts() {
-        let dir = tmp("pool-clock");
-        let keys: Vec<[u32; 3]> = (0..(KEYS_PER_PAGE as u32 * 4)).map(|i| [i, 0, 0]).collect();
-        let path = dir.join("run.rpg");
-        write_run_file(&path, &keys).unwrap();
-        let mut pool = BufferPool::new(2);
-        let file = pool.open_file(&path).unwrap();
-        // Touch all four pages twice through a two-frame pool.
-        for _ in 0..2 {
-            for p in 0..4 {
-                let f = pool.pin(file, p).unwrap();
-                assert_eq!(pool.frame_keys(f), KEYS_PER_PAGE);
-                pool.unpin(f);
-            }
-        }
-        let c = pool.counters();
-        assert_eq!(c.hits + c.misses, 8);
-        assert!(c.misses >= 4, "cold reads at least once per page: {c:?}");
-        assert_eq!(c.pages_read, c.misses);
-
-        // Re-pinning the resident page is a hit.
-        let f = pool.pin(file, 3).unwrap();
-        let c2 = pool.counters();
-        assert_eq!(c2.hits, c.hits + 1);
-        pool.unpin(f);
-    }
-
-    #[test]
-    fn pool_refuses_when_everything_is_pinned() {
-        let dir = tmp("pool-pinned");
-        let keys: Vec<[u32; 3]> = (0..(KEYS_PER_PAGE as u32 * 3)).map(|i| [i, 0, 0]).collect();
-        let path = dir.join("run.rpg");
-        write_run_file(&path, &keys).unwrap();
-        let mut pool = BufferPool::new(2);
-        let file = pool.open_file(&path).unwrap();
-        let _a = pool.pin(file, 0).unwrap();
-        let _b = pool.pin(file, 1).unwrap();
-        assert!(matches!(pool.pin(file, 2), Err(RdfError::Io { .. })));
+        assert_eq!(
+            read_run_file(&path, keys.len() as u64).unwrap(),
+            (keys, pages)
+        );
     }
 
     #[test]
@@ -690,10 +390,8 @@ mod tests {
         let at = PAGE_SIZE + 20;
         bytes[at] ^= 0x01;
         fs::write(&path, &bytes).unwrap();
-        let mut pool = BufferPool::new(4);
-        let run = PagedRun::open(&mut pool, &path, keys.len() as u64).unwrap();
         assert!(matches!(
-            run.read_all(&mut pool),
+            read_run_file(&path, keys.len() as u64),
             Err(RdfError::Corrupt { .. })
         ));
     }

@@ -379,8 +379,11 @@ impl Parser {
         t
     }
 
+    /// The line of the next token; at the end of the input, the line
+    /// of the last one (an error there points at where the text
+    /// stopped, never at line 0).
     fn line(&self) -> usize {
-        self.peek().map(|s| s.line).unwrap_or(0)
+        self.peek().or(self.tokens.last()).map_or(1, |s| s.line)
     }
 
     fn document(&mut self, graph: &mut Graph) -> Result<(), RdfError> {
@@ -624,6 +627,16 @@ e:s e:year 2002 .
     #[test]
     fn errors_carry_line_numbers() {
         let err = parse("<http://e/s> <http://e/p>\n<unterminated").unwrap_err();
+        match err {
+            RdfError::Parse { line, .. } => assert_eq!(line, 2),
+            other => panic!("unexpected error {other:?}"),
+        }
+    }
+
+    #[test]
+    fn error_at_end_of_input_names_the_last_line() {
+        let err = parse("<http://e/s> <http://e/p> <http://e/o> .\n<http://e/s> <http://e/p>")
+            .unwrap_err();
         match err {
             RdfError::Parse { line, .. } => assert_eq!(line, 2),
             other => panic!("unexpected error {other:?}"),

@@ -3,9 +3,10 @@
 //! compression — answers are byte-identical to the default
 //! single-threaded, unsharded execution, for every strategy × semantics
 //! route, both on mutable [`Session`]s and on frozen ones (where the
-//! freeze reseals the solution graph per the config).
+//! freeze reseals the solution graph per the config), and on the live
+//! reader of a [`LiveSession`] for the strategies it serves.
 
-use rps_core::{EngineConfig, ExecConfig, Session, Strategy};
+use rps_core::{EngineConfig, ExecConfig, LiveSession, Session, Strategy};
 use rps_lodgen::{actor_shape_query, film_system, queries, FilmConfig, Topology};
 use rps_query::{GraphPatternQuery, Semantics};
 use rps_rdf::Term;
@@ -45,6 +46,18 @@ fn frozen_answers(
     let prepared = frozen.prepare(query).expect("prepare");
     let stream = frozen.execute(&prepared).expect("execute");
     stream.collect()
+}
+
+/// A live reader's answers at epoch 0. The live chase fires in Skolem
+/// mode, so its blank nodes are named differently from the mutable
+/// session's: under `Star` it is compared with its own reference.
+fn live_answers(
+    config: EngineConfig,
+    cfg: &FilmConfig,
+    query: &GraphPatternQuery,
+) -> BTreeSet<Vec<Term>> {
+    let live = LiveSession::open(film_system(cfg), config).expect("live session opens");
+    live.reader().answer(query).expect("live read").collect()
 }
 
 /// The exec configurations under test: sequential unsharded reference,
@@ -91,11 +104,21 @@ fn assert_exec_invariant(strategy: Strategy, semantics: Semantics, seed: u64) {
             .with_semantics(semantics)
             .with_exec(exec_grid()[0]);
         let reference = answers(base_config.clone(), &cfg, query);
+        let live_reference = matches!(strategy, Strategy::Materialise | Strategy::Auto)
+            .then(|| live_answers(base_config.clone(), &cfg, query));
         let frozen_reference = frozen_answers(base_config, &cfg, query);
         assert_eq!(
             reference, frozen_reference,
             "frozen route diverges at the reference config ({strategy:?}, {semantics:?}, seed {seed})"
         );
+        if semantics == Semantics::Certain {
+            if let Some(live) = &live_reference {
+                assert_eq!(
+                    *live, reference,
+                    "live reader diverges at the reference config ({strategy:?}, seed {seed})"
+                );
+            }
+        }
         for exec in exec_grid().into_iter().skip(1) {
             let config = EngineConfig::default()
                 .with_strategy(strategy)
@@ -106,6 +129,13 @@ fn assert_exec_invariant(strategy: Strategy, semantics: Semantics, seed: u64) {
                 reference,
                 "mutable session diverges under {exec:?} ({strategy:?}, {semantics:?}, seed {seed})"
             );
+            if let Some(live) = &live_reference {
+                assert_eq!(
+                    live_answers(config.clone(), &cfg, query),
+                    *live,
+                    "live reader diverges under {exec:?} ({strategy:?}, {semantics:?}, seed {seed})"
+                );
+            }
             assert_eq!(
                 frozen_answers(config, &cfg, query),
                 reference,

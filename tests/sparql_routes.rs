@@ -259,6 +259,24 @@ fn tail_edge_cases_agree_on_every_route() {
                 vec![iri("p2"), lit("10")],
             ],
         ),
+        // A column mixing numerals with non-numeric literals sorts by
+        // class: numerals by value (then term order), then the rest in
+        // term order — "1a" and the language-tagged "10"@en after every
+        // numeral, though "1a" < "9" as strings.
+        (
+            "SELECT ?x ?v WHERE { { ?x a:age ?v } UNION { ?x a:code ?v } } ORDER BY ?v",
+            vec![
+                vec![iri("p1"), lit("9")],
+                vec![b_iri("p4"), lit("9")],
+                vec![iri("p3"), lit("010")],
+                vec![iri("p2"), lit("10")],
+                vec![
+                    iri("f1"),
+                    Some(Term::Literal(rps_rdf::Literal::lang("10", "en"))),
+                ],
+                vec![iri("f2"), lit("1a")],
+            ],
+        ),
         // OFFSET at and past the row count.
         ("SELECT ?who WHERE { ?f a:cast ?who } OFFSET 4", vec![]),
         (
@@ -387,7 +405,9 @@ fn edge_system() -> rps_core::RdfPeerSystem {
              a:f2 a:cast a:p3 ; a:label \"two\" .\n\
              a:p1 a:age \"9\" ; a:nick \"ace\" .\n\
              a:p2 a:age \"10\" .\n\
-             a:p3 a:age \"010\" .",
+             a:p3 a:age \"010\" .\n\
+             a:f1 a:code \"10\"@en .\n\
+             a:f2 a:code \"1a\" .",
             &mut a,
         )
         .unwrap()
